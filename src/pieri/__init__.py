@@ -9,7 +9,6 @@ from .algebra import (
     decompose_o,
     decompose_sp,
     eta_cij,
-    eta_generator,
     eta_of,
     highest_weight_check,
     invert_predicted_lm,
@@ -52,7 +51,7 @@ from .hibi import (
     lattice_hasse,
     standard_decomposition,
 )
-from .poset import Eps, Gamma, GammaPoset, build_gamma_tilde, eps_pairs
+from .poset import Eps, Gamma, GammaPoset, eps_pairs
 from .polyring import Polynomial, PolyRing, Variable
 
 __version__ = "0.1.0"

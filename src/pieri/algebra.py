@@ -19,11 +19,12 @@ from typing import NamedTuple
 from .cone import (
     ConePoint,
     MultiDegree,
+    _validated_triple,
     count_c_assignments,
     enumerate_fiber,
     is_member,
 )
-from .diagrams import SkewShape, YoungDiagram, as_composition, kostka, partitions_of
+from .diagrams import EMPTY, SkewShape, YoungDiagram, bounded_diagrams, kostka, partitions_of
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import Eps, Gamma, GammaPoset, eps_pairs
 from .polyring import Monomial, Polynomial, PolyRing, Variable
@@ -126,10 +127,6 @@ def eta_generator_of_key(ctx: PieriContext, a_set: IncreasingSet) -> Polynomial:
     for e in sorted(a_set.Z, key=lambda e: (e.t, e.s)):
         eta = eta * ctx.ring.rr(e.s, e.t)
     return eta
-
-
-def eta_generator(ctx: PieriContext, a_set: IncreasingSet) -> Polynomial:
-    return ctx.eta(a_set)
 
 
 def eta_of(ctx: PieriContext, g: ConePoint) -> Polynomial:
@@ -262,7 +259,7 @@ def multiplicity(k: int, ell: int, F, D, P) -> int:
     F, D, P = _validated_triple(k, ell, F, D, P)
     total_p = sum(P)
     total = 0
-    for e_diag in _bounded_diagrams(tuple(min(F.row(i), D.row(i)) for i in range(k))):
+    for e_diag in bounded_diagrams(tuple(min(F.row(i), D.row(i)) for i in range(k))):
         need_a = F.size - e_diag.size
         need_b = D.size - e_diag.size
         if need_a > total_p or need_b > total_p:
@@ -285,8 +282,23 @@ def multiplicity(k: int, ell: int, F, D, P) -> int:
 
 def multiplicity_via_cone(k: int, ell: int, F, D, P) -> int:
     """Lattice-point route: the cardinality of the fiber over (F, D, P)."""
-    F, D, P = _validated_triple(k, ell, F, D, P)
     return len(enumerate_fiber(GammaPoset(k, ell), F, D, P))
+
+
+def check_rank(group: str, k: int, ell: int, n: int | None) -> None:
+    """Refuse a rank ``n`` at which the (k, ell) table is not asserted.
+
+    ``"o"``: the stable range ``2(k + ell) < n``, checked when ``n`` is given.
+    ``"sp"``: the rank-2n symplectic group needs ``k + ell <= n``.
+    """
+    if group == "sp":
+        if k + ell > n:
+            raise ValueError(f"need k + ell <= n, got k={k}, ell={ell}, n={n}")
+    elif n is not None and 2 * (k + ell) >= n:
+        raise ValueError(
+            "outside stable range: result not asserted for "
+            f"n={n} with k={k}, ell={ell}"
+        )
 
 
 def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagram, int]:
@@ -297,15 +309,8 @@ def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagr
     ordered by size, then reverse-lexicographically.  Passing ``n`` asserts
     the stable range; the table itself does not depend on it.
     """
-    D = D if isinstance(D, YoungDiagram) else YoungDiagram(D)
-    P = as_composition(P, ell)
-    if len(D) > k:
-        raise ValueError(f"{D!r} has more than k={k} rows")
-    if n is not None and 2 * (k + ell) >= n:
-        raise ValueError(
-            "outside stable range: result not asserted for "
-            f"n={n} with k={k}, ell={ell}"
-        )
+    _, D, P = _validated_triple(k, ell, EMPTY, D, P)
+    check_rank("o", k, ell, n)
     hi = D.size + sum(P)
     table: dict[YoungDiagram, int] = {}
     for size in range(hi % 2, hi + 1, 2):
@@ -322,8 +327,7 @@ def decompose_sp(k: int, ell: int, D, P, n: int) -> dict[YoungDiagram, int]:
     Requires ``k + ell <= n`` (for the rank-2n group); the corresponding
     orthogonal stable range at 2n is then automatic.
     """
-    if k + ell > n:
-        raise ValueError(f"need k + ell <= n, got k={k}, ell={ell}, n={n}")
+    check_rank("sp", k, ell, n)
     return decompose_o(k, ell, D, P)
 
 
@@ -368,35 +372,6 @@ def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:
             raise ValueError("not multihomogeneous")
     fvec, dvec, pvec = degree
     return MultiDegree(YoungDiagram(fvec), YoungDiagram(dvec), pvec)
-
-
-def _validated_triple(k, ell, F, D, P):
-    if not isinstance(F, YoungDiagram):
-        F = YoungDiagram(F)
-    if not isinstance(D, YoungDiagram):
-        D = YoungDiagram(D)
-    P = as_composition(P, ell)
-    if len(D) > k:
-        raise ValueError(f"{D!r} has more than k={k} rows")
-    if len(F) > k + ell:
-        raise ValueError(f"{F!r} has more than k+ell={k + ell} rows")
-    return F, D, P
-
-
-def _bounded_diagrams(bound: tuple[int, ...]):
-    """All diagrams fitting under the (weakly decreasing) row bound."""
-
-    def rec(j, cap):
-        if j == len(bound):
-            yield ()
-            return
-        for v in range(min(bound[j], cap) + 1):
-            for rest in rec(j + 1, v):
-                yield (v,) + rest
-
-    start_cap = bound[0] if bound else 0
-    for rows in rec(0, start_cap):
-        yield YoungDiagram(rows)
 
 
 def _compositions(total: int, caps):

@@ -10,7 +10,8 @@ Output is an aligned text table by default and a versioned JSON record
 writes the output to a file instead of stdout.  Diagram lists are ordered
 by size, then reverse-lexicographically.
 
-Exit codes: 0 ok, 1 usage error, 2 domain error, 3 verification failure.
+Exit codes: 0 ok, 1 usage error (bad arguments, or an ``--out`` file that
+cannot be opened), 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import sys
 
 from .algebra import (
     PieriContext,
+    check_rank,
     decompose_o,
     decompose_sp,
-    eta_generator,
     multiplicity,
     multiplicity_via_cone,
 )
@@ -119,7 +120,11 @@ def emit(args, record: dict, text: str) -> None:
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -153,16 +158,9 @@ def cmd_mult(args) -> int:
         k, ell = _require_k_ell(args)
         D = parse_diagram(args.D)
         P = parse_composition(args.P, ell)
-        if args.group == "sp":
-            if args.n is None:
-                raise ValueError("--group sp requires --n")
-            if k + ell > args.n:
-                raise ValueError(f"need k + ell <= n, got k={k}, ell={ell}, n={args.n}")
-        elif args.n is not None and 2 * (k + ell) >= args.n:
-            raise ValueError(
-                "outside stable range: result not asserted for "
-                f"n={args.n} with k={k}, ell={ell}"
-            )
+        if args.group == "sp" and args.n is None:
+            raise ValueError("--group sp requires --n")
+        check_rank(args.group, k, ell, args.n)
         m = multiplicity(k, ell, F, D, P)
         verified = None
         if args.verify:
@@ -292,7 +290,7 @@ def cmd_eta(args) -> int:
         parse_index_set(args.J),
         parse_eps_set(args.Z),
     )
-    eta = eta_generator(ctx, a_set)
+    eta = ctx.eta(a_set)
     lm = ctx.ring.render_monomial(eta.leading_monomial())
     record = make_record(
         "eta",
@@ -410,11 +408,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

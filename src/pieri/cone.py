@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .diagrams import YoungDiagram, as_composition, horizontal_strips
+from .diagrams import YoungDiagram, as_composition, bounded_diagrams, horizontal_strips
 from .poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
@@ -207,16 +207,7 @@ def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> l
     lexicographically by value vector in canonical element order.
     """
     k, ell = poset.k, poset.ell
-    if not isinstance(F, YoungDiagram):
-        F = YoungDiagram(F)
-    if not isinstance(D, YoungDiagram):
-        D = YoungDiagram(D)
-    P = as_composition(P, ell)
-    if len(D) > k:
-        raise ValueError(f"{D!r} has more than k={k} rows")
-    if len(F) > k + ell:
-        raise ValueError(f"{F!r} has more than k+ell={k + ell} rows")
-
+    F, D, P = _validated_triple(k, ell, F, D, P)
     pairs = eps_pairs(ell)
     points = []
     for e_rows in _middle_candidates(F, D, P, k):
@@ -251,18 +242,23 @@ def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> l
 
 def _middle_candidates(F: YoungDiagram, D: YoungDiagram, P, k: int):
     """Diagrams that can sit at level 0: inside both boundaries, close enough."""
-    bound = tuple(min(F.row(i), D.row(i)) for i in range(k))
     total = sum(P)
-
-    def rec(j, cap):
-        if j == k:
-            yield ()
-            return
-        for v in range(min(bound[j], cap) + 1):
-            for rest in rec(j + 1, v):
-                yield (v,) + rest
-
-    for rows in rec(0, bound[0] if k else 0):
-        e = YoungDiagram(rows)
+    for e in bounded_diagrams(tuple(min(F.row(i), D.row(i)) for i in range(k))):
         if F.size - e.size <= total and D.size - e.size <= total:
             yield e.rows
+
+
+def _validated_triple(k: int, ell: int, F, D, P):
+    """Check (k, ell) and coerce the multidegree (F, D, P) to fit them."""
+    if k < 1 or ell < 1:
+        raise ValueError(f"need k >= 1 and ell >= 1, got ({k}, {ell})")
+    if not isinstance(F, YoungDiagram):
+        F = YoungDiagram(F)
+    if not isinstance(D, YoungDiagram):
+        D = YoungDiagram(D)
+    P = as_composition(P, ell)
+    if len(D) > k:
+        raise ValueError(f"{D!r} has more than k={k} rows")
+    if len(F) > k + ell:
+        raise ValueError(f"{F!r} has more than k+ell={k + ell} rows")
+    return F, D, P

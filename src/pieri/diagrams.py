@@ -333,6 +333,22 @@ def horizontal_strips(d: YoungDiagram, size: int, max_rows: int | None = None):
     yield from rec(0, size, ())
 
 
+def bounded_diagrams(bound: tuple[int, ...]):
+    """All diagrams fitting under the (weakly decreasing) row bound."""
+
+    def rec(j, cap):
+        if j == len(bound):
+            yield ()
+            return
+        for v in range(min(bound[j], cap) + 1):
+            for rest in rec(j + 1, v):
+                yield (v,) + rest
+
+    start_cap = bound[0] if bound else 0
+    for rows in rec(0, start_cap):
+        yield YoungDiagram(rows)
+
+
 def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     """Decompose a GL_n tensor product with one-row factors of sizes ``p``.
 

@@ -214,24 +214,16 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
 
 
 def lattice_hasse(poset: GammaPoset) -> list[tuple[IncreasingSet, IncreasingSet]]:
-    """Covering pairs (upper, lower) of the lattice under inclusion."""
+    """Covering pairs (upper, lower) of the lattice under inclusion.
+
+    In a lattice of up-sets the covers are exactly the single-element
+    removals that leave an up-set (Birkhoff).  Uppers and, under each, the
+    lowers follow generation order.
+    """
     sets = increasing_sets(poset)
-    by_size: dict[int, list[IncreasingSet]] = {}
-    for s in sets:
-        by_size.setdefault(len(s), []).append(s)
-    sizes = sorted(by_size)
+    order = {s.members: i for i, s in enumerate(sets)}
     edges = []
     for upper in sets:
-        for lower_size in sorted(s for s in sizes if s < len(upper)):
-            for lower in by_size[lower_size]:
-                if not lower.members < upper.members:
-                    continue
-                between = any(
-                    lower.members < mid.members < upper.members
-                    for size in sizes
-                    if lower_size < size < len(upper)
-                    for mid in by_size[size]
-                )
-                if not between:
-                    edges.append((upper, lower))
+        lowers = (order.get(upper.members - {el}) for el in upper.members)
+        edges += [(upper, sets[i]) for i in sorted(i for i in lowers if i is not None)]
     return edges

@@ -28,7 +28,6 @@ variables joined by "*" with "^e" for exponents above 1, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .poset import eps_pairs
 
@@ -160,19 +159,6 @@ class PolyRing:
 
         return expand(tuple(range(size)), tuple(range(size)))
 
-    def permutation_determinant(self, matrix) -> "Polynomial":
-        """Brute-force determinant straight from the permutation sum."""
-        size = len(matrix)
-        if any(len(row) != size for row in matrix):
-            raise ValueError("matrix is not square")
-        total = self.zero()
-        for perm in permutations(range(size)):
-            prod = self.one()
-            for i, j in enumerate(perm):
-                prod = prod * matrix[i][j]
-            total = total + prod if _perm_sign(perm) > 0 else total - prod
-        return total
-
     def derive(self, p: "Polynomial", table: dict[Variable, "Polynomial"]) -> "Polynomial":
         """Apply the derivation extending ``table``; unlisted variables map to 0."""
         images = {self.rank(v): q for v, q in table.items()}
@@ -197,15 +183,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing(n={self.n}, k={self.k}, ell={self.ell})"
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 class Polynomial:

@@ -145,20 +145,16 @@ class GammaPoset:
         )
 
     def hasse_edges(self) -> list[tuple]:
-        """Covering pairs (a, b) with a covering b, in canonical index order."""
-        n = len(self.elements)
-        leq = self._leq
-        edges = []
-        for a in range(n):
-            for b in range(n):
-                if a == b or not leq[b][a]:
-                    continue
-                if any(
-                    c != a and c != b and leq[b][c] and leq[c][a] for c in range(n)
-                ):
-                    continue
-                edges.append((self.elements[a], self.elements[b]))
-        return edges
+        """Covering pairs (a, b) with a covering b, in canonical index order.
+
+        These are the generating relations: each one raises ``|level| -
+        2 * index`` by exactly one, so no longer chain of relations can
+        imply it, and every cover of a closure is a generator.
+        """
+        return [
+            (self.elements[a], self.elements[b])
+            for a, b in sorted(self.relation_index_pairs)
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, GammaPoset):
@@ -170,7 +166,3 @@ class GammaPoset:
 
     def __repr__(self):
         return f"GammaPoset(k={self.k}, ell={self.ell})"
-
-
-def build_gamma_tilde(k: int, ell: int) -> GammaPoset:
-    return GammaPoset(k, ell)

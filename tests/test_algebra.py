@@ -8,7 +8,6 @@ from pieri.algebra import (
     decompose_o,
     decompose_sp,
     eta_cij,
-    eta_generator,
     eta_of,
     highest_weight_check,
     invert_predicted_lm,
@@ -63,14 +62,14 @@ def test_eta_cij_validation(ctx11, ctx21):
 
 def test_eta_generator_cases(ctx11):
     p = ctx11.poset
-    assert eta_generator(ctx11, from_cijz(p, 0)) == ctx11.ring.one()
+    assert ctx11.eta(from_cijz(p, 0)) == ctx11.ring.one()
 
     ctx = PieriContext(9, 1, 2)
     single_eps = from_cijz(ctx.poset, 0, (), (), (Eps(1, 2),))
-    assert eta_generator(ctx, single_eps) == ctx.ring.rr(1, 2)
+    assert ctx.eta(single_eps) == ctx.ring.rr(1, 2)
 
     mixed = from_cijz(ctx.poset, 0, (), (1,), (Eps(1, 2),))
-    assert eta_generator(ctx, mixed) == ctx.ring.y(1, 1) * ctx.ring.rr(1, 2)
+    assert ctx.eta(mixed) == ctx.ring.y(1, 1) * ctx.ring.rr(1, 2)
 
 
 def test_eta_of(ctx11):
@@ -176,6 +175,17 @@ def test_multiplicity_validation():
         multiplicity(1, 1, (2,), (1,), (-1,))
 
 
+@pytest.mark.parametrize("k, ell", [(0, 1), (1, 0), (-1, 1)])
+def test_routes_reject_nonpositive_k_ell(k, ell):
+    for route in (multiplicity, multiplicity_via_cone):
+        with pytest.raises(ValueError, match="need k >= 1 and ell >= 1"):
+            route(k, ell, (1,), (), (1,) * max(ell, 0))
+    with pytest.raises(ValueError, match="need k >= 1 and ell >= 1"):
+        decompose_o(k, ell, (), (1,) * max(ell, 0))
+    with pytest.raises(ValueError, match="need k >= 1 and ell >= 1"):
+        decompose_sp(k, ell, (), (1,) * max(ell, 0), 5)
+
+
 def test_multiplicity_via_cone_agrees():
     for k, ell in [(1, 1), (2, 1)]:
         for d_rows in [(), (1,), (2,)]:
@@ -225,7 +235,7 @@ def test_decompose_key_order():
 
 def test_subduct_generator(ctx11):
     a = from_cijz(ctx11.poset, 0, (), (1,))
-    comb, rem = subduct(ctx11, eta_generator(ctx11, a))
+    comb, rem = subduct(ctx11, ctx11.eta(a))
     assert rem.is_zero()
     assert comb.terms == ((1, a.chi()),)
 
@@ -234,7 +244,7 @@ def test_subduct_comparable_product(ctx21):
     small = from_cijz(ctx21.poset, 1, (), ())
     big = from_cijz(ctx21.poset, 2, (), (1,))
     assert small < big
-    product = eta_generator(ctx21, small) * eta_generator(ctx21, big)
+    product = ctx21.eta(small) * ctx21.eta(big)
     comb, rem = subduct(ctx21, product)
     assert rem.is_zero()
     assert len(comb.terms) == 1
@@ -244,7 +254,7 @@ def test_subduct_comparable_product(ctx21):
 def test_subduct_incomparable_product(ctx11):
     a = from_cijz(ctx11.poset, 0, (1,), ())
     b = from_cijz(ctx11.poset, 0, (), (1,))
-    comb, rem = subduct(ctx11, eta_generator(ctx11, a) * eta_generator(ctx11, b))
+    comb, rem = subduct(ctx11, ctx11.eta(a) * ctx11.eta(b))
     assert rem.is_zero()
     assert len(comb.terms) == 1
     coeff, point = comb.terms[0]
@@ -256,7 +266,7 @@ def test_subduct_all_pairs_terminate(ctx11, ctx21):
     for ctx in (ctx11, ctx21):
         sets = [a for a, _ in ctx.generators]
         for a, b in itertools.combinations_with_replacement(sets, 2):
-            product = eta_generator(ctx, a) * eta_generator(ctx, b)
+            product = ctx.eta(a) * ctx.eta(b)
             comb, rem = subduct(ctx, product)
             assert rem.is_zero(), (a, b)
             first = comb.terms[0]

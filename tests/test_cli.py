@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import pieri
 from pieri.cli import main
 
 
@@ -204,6 +207,28 @@ def test_domain_errors_exit_2():
     assert code == 2
 
 
+def test_nonpositive_k_ell_exit_2():
+    for argv in (
+        ["mult", "--k", "0", "--ell", "1", "--F", "1", "--P", "1"],
+        ["mult", "--k", "0", "--ell", "1", "--F", "1", "--P", "1", "--verify"],
+        ["mult", "--k", "1", "--ell", "0", "--F", "1", "--D", "1"],
+        ["mult", "--k", "-1", "--ell", "1", "--F", "1", "--D", "1", "--P", "1"],
+        ["decompose", "--k", "0", "--ell", "1", "--P", "1"],
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", argv
+        assert "need k >= 1 and ell >= 1" in err, argv
+
+
+def test_unwritable_out_exits_1(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli("mult", "--k", "1", "--ell", "1", "--D", "1",
+                             "--P", "1", "--F", "2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: cannot write --out")
+    assert len(err.splitlines()) == 1
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli("mult", "--group", "o", "--k", "1", "--ell", "1",
@@ -214,9 +239,13 @@ def test_out_file(tmp_path):
 
 
 def test_module_invocation_subprocess():
+    # the child imports the same pieri as this process, installed or not
+    src = str(Path(pieri.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pieri.cli", "mult", "--group", "o",
          "--k", "1", "--ell", "1", "--D", "1", "--P", "1", "--F", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"

@@ -272,3 +272,22 @@ def test_lattice_hasse_small():
     assert uppers == {s for s in nodes if s.members}
     assert all(len(u) > len(l) for u, l in edges)
     assert empty in {lower for _, lower in edges}
+
+
+def covers_by_pairwise_search(poset):
+    """(upper, lower) pairs of up-sets with no up-set strictly between,
+    both in generation order."""
+    sets = increasing_sets(poset)
+    return [
+        (upper, lower)
+        for upper in sets
+        for lower in sets
+        if lower.members < upper.members
+        and not any(lower.members < mid.members < upper.members for mid in sets)
+    ]
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+def test_lattice_hasse_matches_pairwise_covers(k, ell):
+    p = GammaPoset(k, ell)
+    assert lattice_hasse(p) == covers_by_pairwise_search(p)

@@ -1,6 +1,6 @@
 import pytest
 
-from pieri.poset import Eps, Gamma, GammaPoset, build_gamma_tilde, eps_pairs
+from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
 def transitive_closure_from_edges(elements, edges):
@@ -115,6 +115,24 @@ def test_hasse_closure_reproduces_leq():
                 assert p.leq(a, b) == ((a, b) in closure), (k, ell, a, b)
 
 
+def transitive_reduction_of_leq(p):
+    """Pairs (a, b) with b < a and no element strictly between, index order."""
+    els = p.elements
+    return [
+        (a, b)
+        for a in els
+        for b in els
+        if a != b and p.leq(b, a)
+        and not any(c not in (a, b) and p.leq(b, c) and p.leq(c, a) for c in els)
+    ]
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+def test_hasse_edges_are_the_transitive_reduction(k, ell):
+    p = GammaPoset(k, ell)
+    assert p.hasse_edges() == transitive_reduction_of_leq(p)
+
+
 def test_generating_relations_match_leq():
     for k, ell in [(2, 1), (1, 2)]:
         p = GammaPoset(k, ell)
@@ -125,7 +143,7 @@ def test_generating_relations_match_leq():
 
 
 def test_build_alias_and_equality():
-    assert build_gamma_tilde(2, 1) == GammaPoset(2, 1)
+    assert GammaPoset(2, 1) == GammaPoset(2, 1)
     assert GammaPoset(1, 1) != GammaPoset(1, 2)
 
 
