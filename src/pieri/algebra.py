@@ -24,7 +24,15 @@ from .cone import (
     enumerate_fiber,
     is_member,
 )
-from .diagrams import EMPTY, SkewShape, YoungDiagram, bounded_diagrams, kostka, partitions_of
+from .diagrams import (
+    EMPTY,
+    SkewShape,
+    YoungDiagram,
+    _compositions,
+    bounded_diagrams,
+    kostka,
+    partitions_of,
+)
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import Eps, Gamma, GammaPoset, eps_pairs
 from .polyring import Monomial, Polynomial, PolyRing, Variable
@@ -289,9 +297,11 @@ def check_rank(group: str, k: int, ell: int, n: int | None) -> None:
     """Refuse a rank ``n`` at which the (k, ell) table is not asserted.
 
     ``"o"``: the stable range ``2(k + ell) < n``, checked when ``n`` is given.
-    ``"sp"``: the rank-2n symplectic group needs ``k + ell <= n``.
+    ``"sp"``: the rank-2n symplectic group needs ``n``, and ``k + ell <= n``.
     """
     if group == "sp":
+        if n is None:
+            raise ValueError("group sp requires the rank n")
         if k + ell > n:
             raise ValueError(f"need k + ell <= n, got k={k}, ell={ell}, n={n}")
     elif n is not None and 2 * (k + ell) >= n:
@@ -373,22 +383,3 @@ def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:
     fvec, dvec, pvec = degree
     return MultiDegree(YoungDiagram(fvec), YoungDiagram(dvec), pvec)
 
-
-def _compositions(total: int, caps):
-    """All tuples with 0 <= t_i <= caps[i] summing to ``total``."""
-    caps = tuple(caps)
-
-    def rec(idx, rem):
-        if idx == len(caps):
-            if rem == 0:
-                yield ()
-            return
-        tail_cap = sum(caps[idx + 1:])
-        lo = max(0, rem - tail_cap)
-        for v in range(lo, min(caps[idx], rem) + 1):
-            for rest in rec(idx + 1, rem - v):
-                yield (v,) + rest
-
-    if total < 0:
-        return
-    yield from rec(0, total)

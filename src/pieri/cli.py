@@ -34,6 +34,7 @@ from .diagrams import (
     SkewShape,
     YoungDiagram,
     as_composition,
+    check_gl_rank,
     gl_iterated_pieri,
     kostka,
 )
@@ -140,12 +141,9 @@ def make_record(command: str, params: dict, result: dict) -> dict:
 def cmd_mult(args) -> int:
     F = parse_diagram(args.F)
     if args.group == "gl":
-        if args.n is None:
-            raise ValueError("--group gl requires --n")
         D = parse_diagram(args.D)
         P = parse_composition(args.P, args.ell if args.ell else _default_len(args.P))
-        if len(D) > args.n:
-            raise ValueError(f"{D!r} has more than n={args.n} rows")
+        check_gl_rank(D, args.n)
         m = 0
         if len(F) <= args.n and F.contains(D):
             m = kostka(SkewShape(F, D), P)
@@ -158,8 +156,6 @@ def cmd_mult(args) -> int:
         k, ell = _require_k_ell(args)
         D = parse_diagram(args.D)
         P = parse_composition(args.P, ell)
-        if args.group == "sp" and args.n is None:
-            raise ValueError("--group sp requires --n")
         check_rank(args.group, k, ell, args.n)
         m = multiplicity(k, ell, F, D, P)
         verified = None
@@ -181,8 +177,6 @@ def cmd_mult(args) -> int:
 
 def cmd_decompose(args) -> int:
     if args.group == "gl":
-        if args.n is None:
-            raise ValueError("--group gl requires --n")
         D = parse_diagram(args.D)
         P = parse_composition(args.P, args.ell if args.ell else _default_len(args.P))
         table = gl_iterated_pieri(D, P, args.n)
@@ -192,8 +186,6 @@ def cmd_decompose(args) -> int:
         D = parse_diagram(args.D)
         P = parse_composition(args.P, ell)
         if args.group == "sp":
-            if args.n is None:
-                raise ValueError("--group sp requires --n")
             table = decompose_sp(k, ell, D, P, args.n)
         else:
             table = decompose_o(k, ell, D, P, args.n)
@@ -306,6 +298,7 @@ def cmd_eta(args) -> int:
 def cmd_verify(args) -> int:
     k, ell = _require_k_ell(args)
     n = args.n if args.n is not None else 2 * (k + ell) + 1
+    check_rank("o", k, ell, n)
     results = run_suites(args.suite.split(","), k, ell, n)
     lines = []
     for res in results:

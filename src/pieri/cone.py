@@ -11,7 +11,13 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .diagrams import YoungDiagram, as_composition, bounded_diagrams, horizontal_strips
+from .diagrams import (
+    YoungDiagram,
+    _compositions,
+    as_composition,
+    bounded_diagrams,
+    horizontal_strips,
+)
 from .poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
@@ -172,30 +178,36 @@ def _chains_between(start: tuple, end: tuple, steps: int, max_rows: int | None):
     return tuple(out)
 
 
-def _c_assignments(q: tuple[int, ...], ell: int):
-    """All nonneg pair assignments whose per-index sums equal ``q``."""
-    pairs = eps_pairs(ell)
+@cache
+def _c_assignments(q: tuple[int, ...], ell: int) -> tuple[tuple[int, ...], ...]:
+    """All nonneg pair assignments, in eps_pairs order, whose per-index sums equal ``q``.
 
-    def rec(idx, rem):
-        if idx == len(pairs):
-            if all(r == 0 for r in rem):
-                yield ()
-            return
-        s, t = pairs[idx]
-        top = min(rem[s - 1], rem[t - 1])
-        for v in range(top + 1):
-            nxt = list(rem)
-            nxt[s - 1] -= v
-            nxt[t - 1] -= v
-            yield from (((v,) + rest) for rest in rec(idx + 1, nxt))
-
-    if any(x < 0 for x in q):
-        return
-    yield from rec(0, list(q))
+    The pairs (s, ell) come last in that order: their values are a
+    composition of ``q[-1]`` capped by ``q[:-1]``, and what those values
+    leave of ``q[:-1]`` is assigned to the pairs of ell - 1.
+    """
+    if ell == 1:
+        return ((),) if q[0] == 0 else ()
+    return tuple(
+        head + last
+        for last in _compositions(q[-1], q[:-1])
+        for head in _c_assignments(tuple(x - y for x, y in zip(q[:-1], last)), ell - 1)
+    )
 
 
 def count_c_assignments(q, ell: int) -> int:
-    return sum(1 for _ in _c_assignments(tuple(q), ell))
+    """Number of nonneg pair assignments whose per-index sums equal ``q``."""
+    return len(_c_assignments(tuple(q), ell))
+
+
+def _steps(chain) -> tuple[int, ...]:
+    """Boxes added at each link of a chain of row tuples."""
+    return tuple(sum(y) - sum(x) for x, y in zip(chain, chain[1:]))
+
+
+def _flat_rows(chain, lengths) -> tuple[int, ...]:
+    """The rows of a chain, each padded with zeros to its length, end to end."""
+    return sum((rows + (0,) * (n - len(rows)) for rows, n in zip(chain, lengths)), ())
 
 
 def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> list[ConePoint]:
@@ -203,39 +215,33 @@ def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> l
 
     Boundary rows are pinned, interior rows run over interlacing chains
     from the middle row outward, and the pair-node values are whatever
-    solves the per-index content constraints.  The result is sorted
-    lexicographically by value vector in canonical element order.
+    solves the per-index content constraints.  A point's values are laid
+    out in canonical element order: the rows below level 0 from the bottom
+    chain, rows 0..ell from the top chain, then the pair values.  The
+    result is sorted lexicographically by value vector.
     """
     k, ell = poset.k, poset.ell
     F, D, P = _validated_triple(k, ell, F, D, P)
-    pairs = eps_pairs(ell)
     points = []
     for e_rows in _middle_candidates(F, D, P, k):
         tops = _chains_between(e_rows, F.rows, ell, None)
         if not tops:
             continue
-        bottoms = _chains_between(e_rows, D.rows, ell, k)
+        lowers = [
+            (_steps(bottom), _flat_rows(bottom[:0:-1], (k,) * ell))
+            for bottom in _chains_between(e_rows, D.rows, ell, k)
+        ]
         for top in tops:
-            a = tuple(sum(top[j]) - sum(top[j - 1]) for j in range(1, ell + 1))
+            a = _steps(top)
             if any(x > p for x, p in zip(a, P)):
                 continue
-            for bottom in bottoms:
-                b = tuple(
-                    sum(bottom[j]) - sum(bottom[j - 1]) for j in range(1, ell + 1)
-                )
+            upper = _flat_rows(top, range(k, k + ell + 1))
+            for b, lower in lowers:
                 q = tuple(p - x - y for p, x, y in zip(P, a, b))
                 if any(x < 0 for x in q):
                     continue
-                for c in _c_assignments(q, ell):
-                    values = {}
-                    for i in range(-ell, ell + 1):
-                        row = bottom[-i] if i < 0 else top[i]
-                        row = row + (0,) * (poset.row_length(i) - len(row))
-                        for j, v in enumerate(row, start=1):
-                            values[Gamma(i, j)] = v
-                    for (s, t), v in zip(pairs, c):
-                        values[Eps(s, t)] = v
-                    points.append(ConePoint(poset, values, validate=False))
+                points += [ConePoint(poset, lower + upper + c, validate=False)
+                           for c in _c_assignments(q, ell)]
     points.sort(key=lambda pt: pt.values)
     return points
 

@@ -349,6 +349,33 @@ def bounded_diagrams(bound: tuple[int, ...]):
         yield YoungDiagram(rows)
 
 
+def _compositions(total: int, caps: tuple[int, ...]):
+    """All tuples with 0 <= t_i <= caps[i] summing to ``total`` (none if it is negative)."""
+
+    def rec(idx, rem):
+        if idx == len(caps):
+            if rem == 0:
+                yield ()
+            return
+        tail_cap = sum(caps[idx + 1:])
+        lo = max(0, rem - tail_cap)
+        for v in range(lo, min(caps[idx], rem) + 1):
+            for rest in rec(idx + 1, rem - v):
+                yield (v,) + rest
+
+    yield from rec(0, total)
+
+
+def check_gl_rank(d: YoungDiagram, n: int | None) -> None:
+    """Refuse a missing GL_n rank, one below 1, or a diagram ``d`` with more than n rows."""
+    if n is None:
+        raise ValueError("group gl requires the rank n")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if len(d) > n:
+        raise ValueError(f"{d!r} has more than n={n} rows")
+
+
 def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     """Decompose a GL_n tensor product with one-row factors of sizes ``p``.
 
@@ -359,8 +386,7 @@ def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     p = as_composition(p)
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
-    if len(d) > n:
-        raise ValueError(f"diagram {d!r} has more than {n} rows")
+    check_gl_rank(d, n)
     frontier = {d: 1}
     for step in p:
         nxt: dict[YoungDiagram, int] = {}
@@ -375,8 +401,7 @@ def gl_dim(d: YoungDiagram, n: int) -> int:
     """Dimension of the irreducible GL_n representation labeled by ``d``."""
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
-    if len(d) > n:
-        raise ValueError(f"diagram {d!r} has more than {n} rows")
+    check_gl_rank(d, n)
     lam = d.padded(n)
     dim = Fraction(1)
     for i in range(n):

@@ -20,18 +20,39 @@ from .poset import Eps, Gamma, GammaPoset
 
 
 class IncreasingSet:
-    """An upward-closed subset, carrying its canonical (c, I, J, Z) key."""
+    """An upward-closed subset, carrying its canonical (c, I, J, Z) key.
 
-    __slots__ = ("poset", "members", "c", "I", "J", "Z")
+    ``IncreasingSet(poset, members)`` reads the key off the row counts and
+    rebuilds the set with :func:`from_cijz`.  That reproduces the members
+    exactly when the rows are prefixes whose counts step by 0 or 1 outward,
+    that is, when the set is upward closed; otherwise ValueError.
+    """
+
+    __slots__ = ("poset", "members", "c", "I", "J", "Z", "_profile")
 
     def __init__(self, poset: GammaPoset, members):
         members = frozenset(members)
+        ell = poset.ell
+        counts = [0] * (2 * ell + 1)
         for el in members:
             if el not in poset:
                 raise ValueError(f"{el!r} is not an element of {poset!r}")
-        self.poset = poset
-        self.members = members
-        self.c, self.I, self.J, self.Z = _key_from_members(poset, members)
+            if isinstance(el, Gamma):
+                counts[el.level + ell] += 1
+        try:
+            built = from_cijz(
+                poset,
+                counts[ell],
+                (s for s in range(1, ell + 1) if counts[ell - s] > counts[ell - s + 1]),
+                (s for s in range(1, ell + 1) if counts[ell + s] > counts[ell + s - 1]),
+                (el for el in members if isinstance(el, Eps)),
+            )
+        except ValueError:  # counts that fall and rise again can overfill I
+            built = None
+        if built is None or built.members != members:
+            raise ValueError(f"{set(members)} is not upward closed")
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
 
     @property
     def key(self):
@@ -39,11 +60,7 @@ class IncreasingSet:
 
     def profile(self) -> tuple[int, ...]:
         """Row counts (a_{-ell}, ..., a_0, ..., a_ell)."""
-        ell = self.poset.ell
-        return tuple(
-            sum(1 for el in self.members if isinstance(el, Gamma) and el.level == i)
-            for i in range(-ell, ell + 1)
-        )
+        return self._profile
 
     def chi(self) -> ConePoint:
         """The indicator function; always a cone member."""
@@ -96,35 +113,6 @@ class IncreasingSet:
         )
 
 
-def _key_from_members(poset: GammaPoset, members):
-    """Recover (c, I, J, Z) from the row-count profile; validates closure."""
-    ell = poset.ell
-    counts = {}
-    for i in range(-ell, ell + 1):
-        row = [el for el in poset.row_elements(i) if el in members]
-        counts[i] = len(row)
-        if {el.index for el in row} != set(range(1, len(row) + 1)):
-            raise ValueError(f"row {i} of {set(members)} is not a prefix")
-    c = counts[0]
-    I, J = set(), set()
-    for s in range(ell):
-        dn = counts[-s - 1] - counts[-s]
-        up = counts[s + 1] - counts[s]
-        if dn not in (0, 1) or up not in (0, 1):
-            raise ValueError("row counts do not step by 0 or 1: not upward closed")
-        if dn:
-            I.add(s + 1)
-        if up:
-            J.add(s + 1)
-    z = frozenset(el for el in members if isinstance(el, Eps))
-    # closure check: every generating relation with the lesser node inside
-    # must have the greater node inside
-    for a, b in poset.relation_index_pairs:
-        if poset.elements[b] in members and poset.elements[a] not in members:
-            raise ValueError("subset is not upward closed")
-    return c, frozenset(I), frozenset(J), z
-
-
 def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     """Build the increasing set with the given key.
 
@@ -143,39 +131,38 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     for el in Z:
         if not isinstance(el, Eps) or el not in poset:
             raise ValueError(f"{el!r} is not a pair node of {poset!r}")
-    counts = {0: c}
-    for s in range(ell):
-        counts[-s - 1] = counts[-s] + (1 if s + 1 in I else 0)
-        counts[s + 1] = counts[s] + (1 if s + 1 in J else 0)
-    members = {
-        Gamma(i, j)
-        for i in range(-ell, ell + 1)
-        for j in range(1, counts[i] + 1)
-    }
-    return IncreasingSet(poset, members | set(Z))
+    counts = [c] * (2 * ell + 1)  # row counts by level + ell
+    for s in range(1, ell + 1):
+        counts[ell - s] = counts[ell - s + 1] + (s in I)
+        counts[ell + s] = counts[ell + s - 1] + (s in J)
+    a_set = object.__new__(IncreasingSet)
+    a_set.poset = poset
+    a_set.members = Z.union(
+        Gamma(i, j) for i in range(-ell, ell + 1) for j in range(1, counts[i + ell] + 1)
+    )
+    a_set.c, a_set.I, a_set.J, a_set.Z = c, I, J, Z
+    a_set._profile = tuple(counts)
+    return a_set
 
 
 def increasing_sets(poset: GammaPoset) -> list[IncreasingSet]:
-    """The whole lattice, in (c, I, J, Z) generation order, duplicate-free."""
+    """The whole lattice, in (c, I, J, Z) generation order.
+
+    Duplicate-free: the key fixes the row counts through the recurrences
+    and Z the pair nodes, so distinct keys give distinct member sets.
+    """
     k, ell = poset.k, poset.ell
     levels = range(1, ell + 1)
-    out = []
-    seen = set()
-    for c in range(k + 1):
-        for u in range(k - c + 1):
-            for I in combinations(levels, u):
-                for v in range(ell + 1):
-                    for J in combinations(levels, v):
-                        for w in range(len(poset.eps_elements) + 1):
-                            for Z in combinations(poset.eps_elements, w):
-                                s = from_cijz(poset, c, I, J, Z)
-                                if s.members in seen:
-                                    raise AssertionError(
-                                        f"duplicate key {(c, I, J, Z)}"
-                                    )
-                                seen.add(s.members)
-                                out.append(s)
-    return out
+    return [
+        from_cijz(poset, c, I, J, Z)
+        for c in range(k + 1)
+        for u in range(k - c + 1)
+        for I in combinations(levels, u)
+        for v in range(ell + 1)
+        for J in combinations(levels, v)
+        for w in range(len(poset.eps_elements) + 1)
+        for Z in combinations(poset.eps_elements, w)
+    ]
 
 
 class StandardExpression(NamedTuple):

@@ -107,9 +107,6 @@ class GammaPoset:
             raise ValueError(f"level {level} out of range for ell={self.ell}")
         return self.k + max(0, level)
 
-    def row_elements(self, level: int) -> tuple[Gamma, ...]:
-        return tuple(Gamma(level, j) for j in range(1, self.row_length(level) + 1))
-
     @property
     def eps_elements(self) -> tuple[Eps, ...]:
         return tuple(Eps(s, t) for s, t in eps_pairs(self.ell))

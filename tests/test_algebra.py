@@ -5,6 +5,7 @@ import pytest
 
 from pieri.algebra import (
     PieriContext,
+    check_rank,
     decompose_o,
     decompose_sp,
     eta_cij,
@@ -18,7 +19,7 @@ from pieri.algebra import (
     subduct,
 )
 from pieri.cone import zero_point
-from pieri.diagrams import EMPTY, YoungDiagram
+from pieri.diagrams import EMPTY, YoungDiagram, partitions_of
 from pieri.hibi import from_cijz
 from pieri.poset import Eps
 from pieri.polyring import Variable
@@ -201,6 +202,22 @@ def test_multiplicity_via_cone_agrees():
                         ), (k, ell, f, d, p1)
 
 
+@pytest.mark.parametrize("k, ell, d_rows, p", [
+    (1, 4, (1,), (1, 1, 1, 1)),
+    (1, 4, (2,), (1, 2, 1, 2)),
+    (2, 4, (), (1, 1, 1, 1)),
+    (2, 4, (1, 1), (2, 1, 1, 1)),
+])
+def test_routes_agree_at_ell_4(k, ell, d_rows, p):
+    # from ell = 4 on, one content q can have several pair assignments
+    hi = sum(d_rows) + sum(p)
+    for size in range(hi % 2, hi + 1, 2):
+        for f in partitions_of(size, k + ell):
+            assert multiplicity(k, ell, f, d_rows, p) == (
+                multiplicity_via_cone(k, ell, f, d_rows, p)
+            ), f
+
+
 def test_decompose_o_classical():
     table = decompose_o(1, 1, (1,), (1,), n=5)
     assert table == {
@@ -225,6 +242,11 @@ def test_decompose_sp():
     assert decompose_sp(1, 1, (), (0,), 2) == {EMPTY: 1}
     with pytest.raises(ValueError):
         decompose_sp(1, 1, (1,), (1,), 1)
+    # the symplectic table needs its rank
+    with pytest.raises(ValueError, match="requires the rank n"):
+        check_rank("sp", 1, 1, None)
+    with pytest.raises(ValueError, match="requires the rank n"):
+        decompose_sp(1, 1, (), (1,), None)
 
 
 def test_decompose_key_order():

@@ -56,6 +56,32 @@ def test_mult_sp():
     assert code == 2 and "k + ell" in err
 
 
+def test_missing_sp_rank_exits_2():
+    for argv in (
+        ["mult", "--group", "sp", "--k", "1", "--ell", "1", "--D", "1", "--P", "1",
+         "--F", "2"],
+        ["decompose", "--group", "sp", "--k", "1", "--ell", "1", "--D", "1", "--P", "1"],
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", argv
+        assert "requires the rank n" in err, argv
+
+
+def test_gl_rank_errors_exit_2():
+    for want, argv in (
+        ("need n >= 1", ["decompose", "--group", "gl", "--n", "0", "--P", "1"]),
+        ("need n >= 1", ["mult", "--group", "gl", "--n", "-2", "--D", "1", "--P", "1",
+                         "--F", "2"]),
+        ("more than n=1 rows", ["mult", "--group", "gl", "--n", "1", "--D", "1,1",
+                                "--P", "1", "--F", "2"]),
+        ("requires the rank n", ["decompose", "--group", "gl", "--P", "1"]),
+        ("requires the rank n", ["mult", "--group", "gl", "--P", "1", "--F", "1"]),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", argv
+        assert want in err, argv
+
+
 def test_mult_stable_range_refusal():
     code, _, err = run_cli("mult", "--group", "o", "--k", "1", "--ell", "1",
                            "--n", "4", "--D", "1", "--P", "1", "--F", "2")
@@ -182,6 +208,15 @@ def test_verify_all_suites_at_2_1_7():
     assert out.count("PASS") == 5 and "FAIL" not in out
     # every line reports how many instances were checked
     assert all("checked" in ln for ln in out.strip().splitlines())
+
+
+def test_verify_refuses_rank_outside_stable_range():
+    # every suite, not only those that build a PieriContext
+    for suite in ("oracle", "hibi", "lm"):
+        code, out, err = run_cli("verify", "--suite", suite,
+                                 "--k", "2", "--ell", "1", "--n", "3")
+        assert code == 2 and out == "", suite
+        assert "stable range" in err, suite
 
 
 def test_verify_unknown_suite():

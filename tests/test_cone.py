@@ -7,6 +7,7 @@ from pieri.cone import (
     BlockKey,
     ConePoint,
     MultiDegree,
+    _c_assignments,
     count_c_assignments,
     enumerate_fiber,
     is_member,
@@ -14,7 +15,7 @@ from pieri.cone import (
     zero_point,
 )
 from pieri.diagrams import EMPTY, SkewShape, YoungDiagram, interlaces, kostka
-from pieri.poset import Eps, Gamma, GammaPoset
+from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
 def brute_force_members(poset, max_value):
@@ -183,6 +184,24 @@ def test_count_c_assignments():
     assert count_c_assignments((1, 2), 2) == 0
     # ell = 3: q = (1,1,2) -> c12+c13=1, c12+c23=1, c13+c23=2
     assert count_c_assignments((1, 1, 2), 3) == 1  # c12=0, c13=1, c23=1
+    # brute force: every pair vector with entries up to 2, grouped by its
+    # per-index sums, covers every q in {0,1,2}^ell (a pair value is at most
+    # the smaller of its two sums); from ell = 4 on, a q can have several
+    for ell in range(1, 6):
+        pairs = eps_pairs(ell)
+        by_sums = {}
+        for c in itertools.product(range(3), repeat=len(pairs)):
+            q = [0] * ell
+            for (s, t), v in zip(pairs, c):
+                q[s - 1] += v
+                q[t - 1] += v
+            by_sums.setdefault(tuple(q), set()).add(c)
+        for q in itertools.product(range(3), repeat=ell):
+            want = by_sums.get(q, set())
+            assert count_c_assignments(q, ell) == len(want), q
+            got = list(_c_assignments(q, ell))
+            assert len(got) == len(set(got)) and set(got) == want, q
+    assert count_c_assignments((1, 1, 1, 1), 4) == 3
 
 
 def test_fiber_pinned_by_zero_content():

@@ -203,8 +203,11 @@ def test_gl_iterated_pieri_examples():
     # row bound excludes (1,1)
     assert gl_iterated_pieri(YoungDiagram((1,)), (1,), 1) == {YoungDiagram((2,)): 1}
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than n=1 rows"):
         gl_iterated_pieri(YoungDiagram((1, 1)), (1,), 1)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            gl_iterated_pieri(EMPTY, (1,), n)
 
 
 def test_gl_iterated_pieri_matches_kostka():
@@ -247,6 +250,8 @@ def test_gl_dim_examples():
     assert gl_dim(EMPTY, 3) == 1
     with pytest.raises(ValueError):
         gl_dim(YoungDiagram((1, 1)), 1)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        gl_dim(EMPTY, 0)
 
 
 def test_dimension_bookkeeping():

@@ -1,10 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from pieri.cone import ConePoint, is_member, zero_point
 from pieri.hibi import (
+    IncreasingSet,
     from_cijz,
     increasing_sets,
     lattice_hasse,
@@ -131,6 +134,34 @@ def test_lemma_completeness_small():
         family = {s.members for s in increasing_sets(p)}
         brute = set(brute_force_upward_closed(p))
         assert family == brute, (k, ell)
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_parse_accepts_exactly_the_up_sets(k, ell):
+    # every subset of the elements: the parse path raises exactly on the
+    # subsets that are not upward closed, and otherwise rebuilds the
+    # enumerated set with the same key and row counts
+    p = GammaPoset(k, ell)
+    by_members = {s.members: s for s in increasing_sets(p)}
+    elements = p.elements
+    for bits in range(1 << len(elements)):
+        subset = frozenset(el for i, el in enumerate(elements) if bits >> i & 1)
+        if not _is_upward_closed(p, subset):
+            with pytest.raises(ValueError, match="is not upward closed"):
+                IncreasingSet(p, subset)
+            continue
+        parsed = IncreasingSet(p, subset)
+        want = by_members[subset]
+        assert parsed == want
+        assert parsed.key == want.key
+        assert parsed.profile() == want.profile()
+
+
+def test_up_sets_survive_copy_and_pickle():
+    for s in increasing_sets(GammaPoset(2, 2))[::9]:
+        for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s
+            assert twin.key == s.key and twin.profile() == s.profile()
 
 
 def test_injectivity_of_keys():
