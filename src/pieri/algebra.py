@@ -50,12 +50,13 @@ class PieriContext:
         self.poset = GammaPoset(k, ell)
         self.ring = PolyRing(n, k, ell)
         self.lattice = increasing_sets(self.poset)
+        self._determinants: dict = {}  # by (c, I, J); filled by eta_generator_of_key
         self.generators = tuple(
             (a_set, eta_generator_of_key(self, a_set)) for a_set in self.lattice
         )
         assert all(not eta.is_zero() for _, eta in self.generators)
         self._eta_by_members = {a.members: eta for a, eta in self.generators}
-        self._raising = None
+        self._raising = tuple(map(self.ring.compile_derivation, self.raising_derivations()))
 
     def eta(self, a_set: IncreasingSet) -> Polynomial:
         try:
@@ -70,27 +71,25 @@ class PieriContext:
         matrix columns and cross pairings left (sizes k-1); the pure pairing
         variables are inert under both.
         """
-        if self._raising is None:
-            ring = self.ring
-            tables = []
-            for i in range(1, self.n):
-                table = {
-                    Variable("x", i + 1, c): ring.x(i, c) for c in range(1, self.k + 1)
-                }
-                table.update(
-                    {Variable("y", i + 1, j): ring.y(i, j) for j in range(1, self.ell + 1)}
-                )
-                tables.append(table)
-            for i in range(1, self.k):
-                table = {
-                    Variable("x", a, i + 1): ring.x(a, i) for a in range(1, self.n + 1)
-                }
-                table.update(
-                    {Variable("rx", i + 1, j): ring.rx(i, j) for j in range(1, self.ell + 1)}
-                )
-                tables.append(table)
-            self._raising = tuple(tables)
-        return self._raising
+        ring = self.ring
+        tables = []
+        for i in range(1, self.n):
+            table = {
+                Variable("x", i + 1, c): ring.x(i, c) for c in range(1, self.k + 1)
+            }
+            table.update(
+                {Variable("y", i + 1, j): ring.y(i, j) for j in range(1, self.ell + 1)}
+            )
+            tables.append(table)
+        for i in range(1, self.k):
+            table = {
+                Variable("x", a, i + 1): ring.x(a, i) for a in range(1, self.n + 1)
+            }
+            table.update(
+                {Variable("rx", i + 1, j): ring.rx(i, j) for j in range(1, self.ell + 1)}
+            )
+            tables.append(table)
+        return tuple(tables)
 
     def __repr__(self):
         return f"PieriContext(n={self.n}, k={self.k}, ell={self.ell})"
@@ -130,11 +129,17 @@ def eta_cij(ctx: PieriContext, c: int, I=(), J=()) -> Polynomial:
 
 
 def eta_generator_of_key(ctx: PieriContext, a_set: IncreasingSet) -> Polynomial:
-    """Generator polynomial for an increasing set (determinant times pairings)."""
-    eta = eta_cij(ctx, a_set.c, a_set.I, a_set.J)
-    for e in sorted(a_set.Z, key=lambda e: (e.t, e.s)):
-        eta = eta * ctx.ring.rr(e.s, e.t)
-    return eta
+    """Generator polynomial for an increasing set: determinant times pairings.
+
+    Up-sets that differ only in Z share their determinant, so the context
+    builds it once per (c, I, J); the pairings of Z are one monomial shift.
+    """
+    key = (a_set.c, a_set.I, a_set.J)
+    if key not in ctx._determinants:
+        ctx._determinants[key] = eta_cij(ctx, *key)
+    ring = ctx.ring
+    pairings = ring.monomial({Variable("rr", e.s, e.t): 1 for e in a_set.Z})
+    return ctx._determinants[key] * Polynomial(ring, {pairings: 1})
 
 
 def eta_of(ctx: PieriContext, g: ConePoint) -> Polynomial:
@@ -240,20 +245,18 @@ def subduct(ctx: PieriContext, p: Polynomial) -> tuple[StandardCombination, Poly
     terms = []
     current = p
     while not current.is_zero():
-        lm = current.leading_monomial()
-        g = invert_predicted_lm(ctx, lm)
+        lm = current._leading()
+        g = invert_predicted_lm(ctx, ctx.ring._unpack(lm))
         if g is None:
             break
         eta = eta_of(ctx, g)
         lc_eta = eta.leading_coefficient()
-        lc_cur = current.leading_coefficient()
+        lc_cur = current._terms[lm]
         if lc_cur % lc_eta:
             break  # non-integral multiple; cannot reduce over the integers
         coeff = lc_cur // lc_eta
         current = current - eta * coeff
-        if not current.is_zero():
-            key = ctx.ring.sort_key
-            assert key(current.leading_monomial()) < key(lm), "LM failed to decrease"
+        assert current.is_zero() or current._leading() < lm, "LM failed to decrease"
         terms.append(StandardTerm(coeff, g))
     return StandardCombination(tuple(terms)), current
 
@@ -343,7 +346,7 @@ def decompose_sp(k: int, ell: int, D, P, n: int) -> dict[YoungDiagram, int]:
 
 def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
     """True iff every raising derivation annihilates ``p``."""
-    return all(ctx.ring.derive(p, table).is_zero() for table in ctx.raising_derivations())
+    return all(ctx.ring.apply_derivation(p, d).is_zero() for d in ctx._raising)
 
 
 def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:

@@ -118,16 +118,21 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
 
     ``I`` marks the steps at which the negative rows gain a node, ``J`` the
     positive ones; the negative rows only have k slots, whence ``|I| <= k - c``.
+    A repeated entry in I, J or Z is refused, not merged.
     """
     k, ell = poset.k, poset.ell
-    I, J = frozenset(I), frozenset(J)
+    I, J, Z = tuple(I), tuple(J), tuple(Z)
+    if len(set(I)) != len(I) or len(set(J)) != len(J):
+        raise ValueError("I and J must not repeat indices")
+    if len(set(Z)) != len(Z):
+        raise ValueError("Z must not repeat pair nodes")
+    I, J, Z = frozenset(I), frozenset(J), frozenset(Z)
     if not 0 <= c <= k:
         raise ValueError(f"need 0 <= c <= k, got c={c}")
     if not I <= set(range(1, ell + 1)) or not J <= set(range(1, ell + 1)):
         raise ValueError(f"I={set(I)} and J={set(J)} must be subsets of 1..{ell}")
     if len(I) > k - c:
         raise ValueError(f"row capacity exceeded: |I|={len(I)} > k - c = {k - c}")
-    Z = frozenset(Z)
     for el in Z:
         if not isinstance(el, Eps) or el not in poset:
             raise ValueError(f"{el!r} is not a pair node of {poset!r}")

@@ -15,9 +15,24 @@ along the chain
   > r[1,k+1] > ... > r[k,k+1] > r[1,k+2] > ... > r[k,k+ell]
   > r[k+1,k+2] > r[k+1,k+3] > r[k+2,k+3] > ... > r[k+ell-1,k+ell],
 
-i.e. every family runs column-major (second index outermost).  Monomials
-are dense exponent tuples indexed by that chain, so tuple comparison of
-``(degree, exponents)`` realizes the order directly.
+i.e. every family runs column-major (second index outermost).
+
+Packed monomials (after Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Inside a
+``Polynomial`` a monomial is one int: a ``FIELD_BITS``-wide field per
+variable in chain order, ``x[1,1]`` most significant, with the total degree
+above them all.  Comparing two packed ints compares degrees first and then
+the exponents along the chain, so the graded lexicographic order is int
+order, and multiplying monomials is adding ints.  The top bit of every
+variable field is a guard bit: a product that sets one raises ValueError,
+so each exponent is limited to ``EXPONENT_LIMIT`` = 2^15 - 1.
+
+At the public boundary monomials are dense exponent tuples indexed by the
+chain (``Monomial``), and ``(degree, exponents)`` tuple comparison realizes
+the same order: ``PolyRing.monomial``, ``Polynomial(ring, {tuple: c})``,
+``Polynomial.terms`` (a tuple-keyed view), ``leading_monomial``,
+``sorted_terms``, ``monomial_degrees``, ``render_monomial``, ``sort_key``
+and ``compare_monomials`` all speak tuples.
 
 Text format (stable, used by golden tests): terms in descending monomial
 order joined by " + "/" - ", coefficient magnitudes omitted when 1,
@@ -27,11 +42,19 @@ variables joined by "*" with "^e" for exponents above 1, e.g.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .poset import eps_pairs
 
 Monomial = tuple  # dense exponent tuple, aligned with PolyRing.variables
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -53,9 +76,15 @@ class PolyRing:
         variables += [Variable("rx", i, j) for j in range(1, ell + 1) for i in range(1, k + 1)]
         variables += [Variable("rr", s, t) for s, t in eps_pairs(ell)]
         self.variables = tuple(variables)
-        self.nvars = len(variables)
+        self.nvars = nvars = len(variables)
         self._rank = {v: r for r, v in enumerate(variables)}
-        self._one_mono = (0,) * self.nvars
+        # packed layout: variable r in the field at _shifts[r], degree on top
+        self._shifts = tuple(FIELD_BITS * (nvars - 1 - r) for r in range(nvars))
+        degree_unit = 1 << (FIELD_BITS * nvars)
+        self._units = tuple((1 << s) + degree_unit for s in self._shifts)
+        self._guard = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
+        self._exponents_mask = degree_unit - 1
+        self._fields = struct.Struct(f">{nvars}H")
 
     # -- variables ---------------------------------------------------------
 
@@ -74,7 +103,7 @@ class PolyRing:
         return tuple(exps)
 
     def var(self, v: Variable) -> "Polynomial":
-        return Polynomial(self, {self.monomial({v: 1}): 1})
+        return _polynomial(self, {self._units[self.rank(v)]: 1})
 
     def x(self, i, j):
         return self.var(Variable("x", i, j))
@@ -89,13 +118,53 @@ class PolyRing:
         return self.var(Variable("rr", s, t))
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {self._one_mono: 1})
+        return _polynomial(self, {0: 1})
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _polynomial(self, {})
 
     def constant(self, c: int) -> "Polynomial":
-        return Polynomial(self, {self._one_mono: int(c)})
+        c = int(c)
+        return _polynomial(self, {0: c} if c else {})
+
+    # -- packed monomials --------------------------------------------------
+
+    def _pack(self, m: Monomial) -> int:
+        if len(m) != self.nvars:
+            raise ValueError(f"monomial {m!r} does not have {self.nvars} exponents")
+        if min(m) < 0 or max(m) > EXPONENT_LIMIT:
+            raise ValueError(f"monomial {m!r} has an exponent outside 0..{EXPONENT_LIMIT}")
+        try:
+            fields = self._fields.pack(*m)
+        except struct.error:
+            raise ValueError(f"monomial {m!r} has a non-integer exponent") from None
+        return int.from_bytes(fields, "big") | (sum(m) << FIELD_BITS * self.nvars)
+
+    def _unpack(self, packed: int) -> Monomial:
+        return self._fields.unpack((packed & self._exponents_mask).to_bytes(2 * self.nvars, "big"))
+
+    def _checked(self, terms: dict) -> dict:
+        """``terms`` without zero coefficients, refusing any set guard bit.
+
+        Each key must be one sum of two guard-free monomials, so a field
+        that overflowed shows its guard bit and carried into nothing.
+        """
+        terms = {m: c for m, c in terms.items() if c}
+        if terms and reduce(or_, terms) & self._guard:
+            raise ValueError(
+                f"exponent above {EXPONENT_LIMIT}, the limit of 2^{FIELD_BITS - 1} - 1 per variable"
+            )
+        return terms
+
+    @staticmethod
+    def _accumulate(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
+        """acc += sign * a * b on packed terms; zeros are left for ``_checked``."""
+        get = acc.get
+        for m2, c2 in b.items():
+            c2 *= sign
+            for m1, c1 in a.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
 
     # -- monomial order ----------------------------------------------------
 
@@ -136,42 +205,77 @@ class PolyRing:
     # -- operations on matrices / derivations -------------------------------
 
     def determinant(self, matrix) -> "Polynomial":
-        """Exact determinant by cofactor expansion; empty matrix gives 1."""
+        """Exact determinant by cofactor expansion along the first rows.
+
+        A minor depends only on the columns left once its rows are fixed, so
+        each column subset is expanded once.  The empty matrix gives 1.
+        """
         size = len(matrix)
         if any(len(row) != size for row in matrix):
             raise ValueError("matrix is not square")
-        if size == 0:
-            return self.one()
+        for row in matrix:
+            for entry in row:
+                self._check_ring(entry)
+        cells = [[entry._terms for entry in row] for row in matrix]
+        minors: dict = {(): {0: 1}}
 
-        def expand(rows, cols):
-            if len(cols) == 1:
-                return matrix[rows[0]][cols[0]]
-            total = self.zero()
-            sub_rows = rows[1:]
-            for idx, c in enumerate(cols):
-                entry = matrix[rows[0]][c]
-                if entry.is_zero():
-                    continue
-                minor = expand(sub_rows, cols[:idx] + cols[idx + 1:])
-                term = entry * minor
-                total = total - term if idx % 2 else total + term
-            return total
+        def expand(cols):
+            if cols not in minors:
+                row = cells[size - len(cols)]
+                total: dict = {}
+                for idx, c in enumerate(cols):
+                    entry = row[c]
+                    if entry:
+                        minor = expand(cols[:idx] + cols[idx + 1:])
+                        self._accumulate(total, entry, minor, -1 if idx % 2 else 1)
+                minors[cols] = self._checked(total)
+            return minors[cols]
 
-        return expand(tuple(range(size)), tuple(range(size)))
+        return _polynomial(self, expand(tuple(range(size))))
+
+    def compile_derivation(self, table: dict[Variable, "Polynomial"]):
+        """The table as (support, entries) for ``apply_derivation``.
+
+        Each entry is (field shift, variable unit, packed image terms); the
+        support masks the fields of every entry, so a monomial that has none
+        of the table's variables is skipped with one test.
+        """
+        entries = []
+        support = 0
+        for v, image in table.items():
+            r = self.rank(v)
+            self._check_ring(image)
+            if image._terms:
+                shift = self._shifts[r]
+                entries.append((shift, self._units[r], tuple(image._terms.items())))
+                support |= _FIELD_MASK << shift
+        return support, tuple(entries)
+
+    def apply_derivation(self, p: "Polynomial", compiled) -> "Polynomial":
+        """Apply a derivation from ``compile_derivation`` to ``p``."""
+        self._check_ring(p)
+        support, entries = compiled
+        acc: dict = {}
+        get = acc.get
+        for mono, coeff in p._terms.items():
+            if not mono & support:
+                continue
+            for shift, unit, image in entries:
+                e = (mono >> shift) & _FIELD_MASK
+                if e:
+                    lowered, scale = mono - unit, coeff * e
+                    for m, c in image:
+                        m += lowered
+                        acc[m] = get(m, 0) + scale * c
+        return _polynomial(self, self._checked(acc))
 
     def derive(self, p: "Polynomial", table: dict[Variable, "Polynomial"]) -> "Polynomial":
         """Apply the derivation extending ``table``; unlisted variables map to 0."""
-        images = {self.rank(v): q for v, q in table.items()}
-        out = self.zero()
-        for mono, coeff in p.terms.items():
-            for r, image in images.items():
-                e = mono[r]
-                if e == 0:
-                    continue
-                lowered = list(mono)
-                lowered[r] -= 1
-                out = out + image * Polynomial(self, {tuple(lowered): coeff * e})
-        return out
+        return self.apply_derivation(p, self.compile_derivation(table))
+
+    def _check_ring(self, p: "Polynomial") -> None:
+        if p.ring is not self and p.ring != self:
+            raise ValueError("polynomials live in different rings")
 
     def __eq__(self, other):
         if not isinstance(other, PolyRing):
@@ -185,75 +289,101 @@ class PolyRing:
         return f"PolyRing(n={self.n}, k={self.k}, ell={self.ell})"
 
 
+def _polynomial(ring: PolyRing, packed: dict) -> "Polynomial":
+    """A polynomial over packed terms that carry no zero coefficient."""
+    p = object.__new__(Polynomial)
+    p.ring = ring
+    p._terms = packed
+    return p
+
+
+class TermsView(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples."""
+
+    __slots__ = ("_ring", "_packed")
+
+    def __init__(self, ring: PolyRing, packed: dict):
+        self._ring, self._packed = ring, packed
+
+    def __getitem__(self, m: Monomial) -> int:
+        try:
+            return self._packed[self._ring._pack(m)]
+        except (TypeError, ValueError):
+            raise KeyError(m) from None
+
+    def __iter__(self):
+        return map(self._ring._unpack, self._packed)
+
+    def __len__(self):
+        return len(self._packed)
+
+
 class Polynomial:
     """Integer-coefficient sparse polynomial over a fixed ring."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self._terms = {ring._pack(m): c for m, c in terms.items() if c != 0}
+
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self.ring, self._terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(m) for m in self.terms)
+    def _leading(self) -> int:
+        if not self._terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self._terms)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.sort_key)
+        return self.ring._unpack(self._leading())
 
     def leading_coefficient(self) -> int:
-        return self.terms[self.leading_monomial()]
+        return self._terms[self._leading()]
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda mc: self.ring.sort_key(mc[0]), reverse=True
-        )
-
-    def _check_ring(self, other):
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
+        unpack = self.ring._unpack
+        return [(unpack(m), self._terms[m]) for m in sorted(self._terms, reverse=True)]
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(self.ring, terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
         if isinstance(other, int):
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self.ring._check_ring(other)
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
+            c = terms.get(m, 0) + sign * c
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return _polynomial(self.ring, terms)
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return _polynomial(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(
-                self.ring, {m: c * other for m, c in self.terms.items()}
-            )
+            terms = {m: c * other for m, c in self._terms.items()} if other else {}
+            return _polynomial(self.ring, terms)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_ring(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Polynomial(self.ring, terms)
+        ring = self.ring
+        ring._check_ring(other)
+        acc: dict = {}
+        ring._accumulate(acc, self._terms, other._terms)
+        return _polynomial(ring, ring._checked(acc))
 
     __rmul__ = __mul__
 
@@ -270,13 +400,16 @@ class Polynomial:
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        terms = self._terms
+        if len(terms) <= 1 and not any(terms):  # a constant equals its int
+            return hash(terms.get(0, 0))
+        return hash((self.ring, frozenset(terms.items())))
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for idx, (m, c) in enumerate(self.sorted_terms()):

@@ -187,6 +187,14 @@ def test_eta_capacity_error():
     assert code == 2 and "row capacity" in err
 
 
+def test_eta_repeated_keys_exit_2():
+    for flag, value in (("--I", "1,1"), ("--J", "2,2"), ("--Z", "1:2,1:2")):
+        code, out, err = run_cli("eta", "--n", "9", "--k", "2", "--ell", "2",
+                                 "--c", "1", flag, value)
+        assert code == 2 and out == "", flag
+        assert "must not repeat" in err, flag
+
+
 def test_eta_with_eps():
     code, out, _ = run_cli("eta", "--k", "1", "--ell", "2", "--n", "7",
                            "--c", "0", "--Z", "1:2", "--json")

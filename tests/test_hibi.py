@@ -104,6 +104,19 @@ def test_from_cijz_validation():
         from_cijz(p, 0, (), (), {Eps(1, 2)})
 
 
+def test_from_cijz_rejects_repeated_keys():
+    p = GammaPoset(2, 2)
+    with pytest.raises(ValueError, match="must not repeat"):
+        from_cijz(p, 1, I=(1, 1))
+    with pytest.raises(ValueError, match="must not repeat"):
+        from_cijz(p, 0, (), (2, 1, 2))
+    with pytest.raises(ValueError, match="must not repeat"):
+        from_cijz(p, 0, Z=[Eps(1, 2), Eps(1, 2)])
+    # the same keys without the repeats are fine
+    assert from_cijz(p, 1, I=(1,)).I == frozenset({1})
+    assert from_cijz(p, 0, Z=[Eps(1, 2)]).Z == frozenset({Eps(1, 2)})
+
+
 def test_profile_recurrences():
     p = GammaPoset(2, 2)
     s = from_cijz(p, 1, {2}, {1})

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pieri.polyring import PolyRing, Variable
+from pieri.polyring import EXPONENT_LIMIT, Polynomial, PolyRing, Variable
 
 
 @pytest.fixture
@@ -205,8 +205,6 @@ def polynomials(draw, ring=RING, max_terms=4):
         )
         coeff = draw(st.integers(min_value=-3, max_value=3).filter(lambda c: c != 0))
         terms[m] = coeff
-    from pieri.polyring import Polynomial
-
     return Polynomial(ring, terms)
 
 
@@ -221,3 +219,122 @@ def test_lm_multiplicative(p, q):
     )
     assert prod.leading_monomial() == expect
     assert prod.leading_coefficient() == p.leading_coefficient() * q.leading_coefficient()
+
+
+def test_hash_agrees_with_equality():
+    ring = PolyRing(2, 1, 2)
+    assert ring.constant(3) == 3 and hash(ring.constant(3)) == hash(3)
+    assert len({ring.constant(3), 3}) == 1
+    assert ring.zero() == 0 and hash(ring.zero()) == hash(0)
+    assert hash(ring.one()) == hash(1) and hash(ring.constant(-2)) == hash(-2)
+    p, q = ring.x(1, 1) + ring.y(2, 1), ring.rr(1, 2) - 2
+    assert hash(p * q) == hash(q * p)
+    assert len({p * q, q * p, p}) == 2
+
+
+def test_exponent_limit():
+    ring = PolyRing(2, 1, 2)
+    x = ring.x(1, 1)
+    top = x ** EXPONENT_LIMIT
+    assert EXPONENT_LIMIT == 2 ** 15 - 1 == 32767
+    assert top.leading_monomial()[0] == 32767
+    assert str(top) == "x[1,1]^32767"
+    for overflow in (
+        lambda: top * x,
+        lambda: (top + ring.one()) * (x + ring.y(1, 1)),
+        lambda: ring.determinant([[top, ring.zero()], [ring.zero(), x]]),
+        lambda: ring.derive(top * ring.x(2, 1), {Variable("x", 2, 1): x}),
+        lambda: Polynomial(ring, {(32768,) + (0,) * (ring.nvars - 1): 1}),
+    ):
+        with pytest.raises(ValueError, match="32767"):
+            overflow()
+
+
+# -- the packed representation against tuple-based oracles ----------------
+
+BIG = PolyRing(11, 2, 3)  # 64 variables
+
+
+@st.composite
+def sparse_monomials(draw, ring, max_vars=5, max_exp=3):
+    exps = [0] * ring.nvars
+    for _ in range(draw(st.integers(min_value=0, max_value=max_vars))):
+        exps[draw(st.integers(min_value=0, max_value=ring.nvars - 1))] = draw(
+            st.integers(min_value=0, max_value=max_exp))
+    return tuple(exps)
+
+
+@st.composite
+def sparse_polynomials(draw, ring, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        terms[draw(sparse_monomials(ring))] = draw(st.integers(min_value=-3, max_value=3))
+    return Polynomial(ring, terms)
+
+
+def tuple_product(p, q):
+    """p * q straight from the tuple-keyed terms."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_derive(ring, p, table):
+    """The derivation extending ``table``, by the Leibniz rule on exponent tuples."""
+    out = {}
+    for m, c in p.terms.items():
+        for v, image in table.items():
+            r = ring.rank(v)
+            if not m[r]:
+                continue
+            lowered = m[:r] + (m[r] - 1,) + m[r + 1:]
+            for mi, ci in image.terms.items():
+                key = tuple(a + b for a, b in zip(lowered, mi))
+                out[key] = out.get(key, 0) + c * m[r] * ci
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("ring", [RING, BIG], ids=["2-1-2", "11-2-3"])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_packed_order_and_round_trip(ring, data):
+    a = data.draw(sparse_monomials(ring))
+    b = data.draw(sparse_monomials(ring))
+    pa, pb = ring._pack(a), ring._pack(b)
+    assert ring._unpack(pa) == a and ring._unpack(pb) == b
+    assert (pa > pb) - (pa < pb) == ring.compare_monomials(a, b)
+    assert (pa < pb) == ((sum(a), a) < (sum(b), b))
+    assert ring._pack(tuple(x + y for x, y in zip(a, b))) == pa + pb
+
+
+@pytest.mark.parametrize("ring", [RING, BIG], ids=["2-1-2", "11-2-3"])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_packed_product_matches_tuple_oracle(ring, data):
+    p = data.draw(sparse_polynomials(ring))
+    q = data.draw(sparse_polynomials(ring))
+    prod = p * q
+    assert dict(prod.terms.items()) == tuple_product(p, q)
+    assert prod == q * p
+    assert Polynomial(ring, dict(prod.terms)) == prod
+    if not prod.is_zero():
+        lm = prod.leading_monomial()
+        assert lm in prod.terms
+        assert lm == max(prod.terms, key=ring.sort_key)
+        assert [m for m, _ in prod.sorted_terms()] == sorted(
+            prod.terms, key=ring.sort_key, reverse=True)
+
+
+@pytest.mark.parametrize("ring", [RING, BIG], ids=["2-1-2", "11-2-3"])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_packed_derive_matches_tuple_oracle(ring, data):
+    p = data.draw(sparse_polynomials(ring))
+    table = {}
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        v = ring.variables[data.draw(st.integers(min_value=0, max_value=ring.nvars - 1))]
+        table[v] = data.draw(sparse_polynomials(ring, max_terms=3))
+    assert dict(ring.derive(p, table).terms.items()) == tuple_derive(ring, p, table)
