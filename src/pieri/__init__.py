@@ -31,17 +31,12 @@ from .cone import (
 from .diagrams import (
     EMPTY,
     SkewShape,
-    SkewTableau,
     YoungDiagram,
     as_composition,
-    chain_to_tableau,
-    enumerate_skew_ssyt,
     gl_dim,
     gl_iterated_pieri,
-    interlaces,
     kostka,
     partitions_of,
-    tableau_to_chain,
 )
 from .hibi import (
     IncreasingSet,

@@ -33,8 +33,8 @@ from .diagrams import (
     kostka,
     partitions_of,
 )
-from .hibi import IncreasingSet, increasing_sets, standard_decomposition
-from .poset import Eps, Gamma, GammaPoset, eps_pairs
+from .hibi import IncreasingSet, from_cijz, increasing_sets, standard_decomposition
+from .poset import GammaPoset, eps_pairs
 from .polyring import Monomial, Polynomial, PolyRing, Variable
 
 
@@ -50,7 +50,7 @@ class PieriContext:
         self.poset = GammaPoset(k, ell)
         self.ring = PolyRing(n, k, ell)
         self.lattice = increasing_sets(self.poset)
-        self._determinants: dict = {}  # by (c, I, J); filled by eta_generator_of_key
+        self._determinants: dict = {}  # by (c, I, J) of every up-set; see eta_generator_of_key
         self.generators = tuple(
             (a_set, eta_generator_of_key(self, a_set)) for a_set in self.lattice
         )
@@ -95,37 +95,32 @@ class PieriContext:
         return f"PieriContext(n={self.n}, k={self.k}, ell={self.ell})"
 
 
-def eta_cij(ctx: PieriContext, c: int, I=(), J=()) -> Polynomial:
-    """The determinant generator for a row-profile key (c, I, J).
+def _key_determinant(ring: PolyRing, c: int, I, J) -> Polynomial:
+    """The determinant of a row-profile key (c, I, J), which must be valid.
 
     Rows 1..c+|J| hold matrix columns 1..c+|I| followed by the vector
     columns indexed by J; below them one cross-pairing row per element of
-    I, padded with zeros under the vector columns.
+    I, padded with zeros under the vector columns.  The stable range keeps
+    c + |J| <= k + ell below n.
     """
-    ring, k, ell, n = ctx.ring, ctx.k, ctx.ell, ctx.n
     I, J = sorted(I), sorted(J)
-    u, v = len(I), len(J)
-    if not 0 <= c <= k:
-        raise ValueError(f"need 0 <= c <= k, got c={c}")
-    if any(not 1 <= i <= ell for i in I) or any(not 1 <= j <= ell for j in J):
-        raise ValueError(f"I={I} and J={J} must be subsets of 1..{ell}")
-    if len(set(I)) != u or len(set(J)) != v:
-        raise ValueError("I and J must not repeat indices")
-    if u > k - c:
-        raise ValueError(f"row capacity exceeded: |I|={u} > k - c = {k - c}")
-    if c + v > n:
-        raise ValueError(f"matrix needs {c + v} rows but n={n}")
-    matrix = []
-    for a in range(1, c + v + 1):
-        matrix.append(
-            [ring.x(a, col) for col in range(1, c + u + 1)]
-            + [ring.y(a, j) for j in J]
-        )
-    for i in I:
-        matrix.append(
-            [ring.rx(col, i) for col in range(1, c + u + 1)] + [ring.zero()] * v
-        )
+    cols = range(1, c + len(I) + 1)
+    matrix = [
+        [ring.x(a, col) for col in cols] + [ring.y(a, j) for j in J]
+        for a in range(1, c + len(J) + 1)
+    ]
+    matrix += [[ring.rx(col, i) for col in cols] + [ring.zero()] * len(J) for i in I]
     return ring.determinant(matrix)
+
+
+def eta_cij(ctx: PieriContext, c: int, I=(), J=()) -> Polynomial:
+    """The determinant generator for a row-profile key (c, I, J).
+
+    The key is checked by :func:`pieri.hibi.from_cijz`; the determinant is
+    the one the context built for it.
+    """
+    a_set = from_cijz(ctx.poset, c, I, J)
+    return ctx._determinants[a_set.c, a_set.I, a_set.J]
 
 
 def eta_generator_of_key(ctx: PieriContext, a_set: IncreasingSet) -> Polynomial:
@@ -136,7 +131,7 @@ def eta_generator_of_key(ctx: PieriContext, a_set: IncreasingSet) -> Polynomial:
     """
     key = (a_set.c, a_set.I, a_set.J)
     if key not in ctx._determinants:
-        ctx._determinants[key] = eta_cij(ctx, *key)
+        ctx._determinants[key] = _key_determinant(ctx.ring, *key)
     ring = ctx.ring
     pairings = ring.monomial({Variable("rr", e.s, e.t): 1 for e in a_set.Z})
     return ctx._determinants[key] * Polynomial(ring, {pairings: 1})
@@ -178,8 +173,7 @@ def lm_predicted(ctx: PieriContext, g: ConePoint) -> Monomial:
             e = rows[-j][i - 1] - prev[i - 1]
             if e:
                 exps[Variable("rx", i, j)] = e
-    for s, t in eps_pairs(ell):
-        e = g.eps(s, t)
+    for (s, t), e in zip(eps_pairs(ell), g.eps_values()):
         if e:
             exps[Variable("rr", s, t)] = e
     return ctx.ring.monomial(exps)
@@ -208,12 +202,8 @@ def invert_predicted_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
     for j in range(1, ell + 1):
         prev = rows[-j + 1]
         rows[-j] = [prev[i - 1] + e("rx", i, j) for i in range(1, k + 1)]
-    values = {}
-    for i in range(-ell, ell + 1):
-        for j, v in enumerate(rows[i], start=1):
-            values[Gamma(i, j)] = v
-    for s, t in eps_pairs(ell):
-        values[Eps(s, t)] = e("rr", s, t)
+    values = tuple(v for i in range(-ell, ell + 1) for v in rows[i])
+    values += tuple(e("rr", s, t) for s, t in eps_pairs(ell))
     if exps:
         return None  # leftover exponents on variables outside the image
     if not is_member(ctx.poset, values):

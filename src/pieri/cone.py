@@ -18,7 +18,7 @@ from .diagrams import (
     bounded_diagrams,
     horizontal_strips,
 )
-from .poset import Eps, Gamma, GammaPoset, eps_pairs
+from .poset import Eps, GammaPoset, eps_pairs
 
 
 class MultiDegree(NamedTuple):
@@ -100,14 +100,13 @@ class ConePoint:
 
     def row(self, level: int) -> tuple[int, ...]:
         """Values along one row, in index order (length k + max(0, level))."""
-        return tuple(self.value(Gamma(level, j))
-                     for j in range(1, self.poset.row_length(level) + 1))
+        return self.values[self.poset.row_slice(level)]
 
     def eps(self, s: int, t: int) -> int:
         return self.value(Eps(s, t))
 
     def eps_values(self) -> tuple[int, ...]:
-        return tuple(self.value(Eps(s, t)) for s, t in eps_pairs(self.poset.ell))
+        return self.values[self.poset.eps_slice]
 
     def functionals(self) -> Functionals:
         """The linear functionals (A, B, C, P); all additive in the point."""

@@ -1,15 +1,15 @@
-"""Young diagrams, skew tableaux, skew Kostka numbers and the GL Pieri rule.
+"""Young diagrams, skew shapes, skew Kostka numbers and the GL Pieri rule.
 
 Diagrams are kept in canonical form: weakly decreasing row lengths with
 trailing zeros trimmed, so the empty diagram is ``YoungDiagram(())``.
-Compositions (tableau contents, degree vectors) are plain tuples of
+Compositions (Kostka contents, degree vectors) are plain tuples of
 nonnegative integers of a fixed length; zeros are kept because contents
 are indexed by tensor-factor position.
 
 The counting routines here serve as the independent combinatorial side of
 the library's central cross-checks, so they are deliberately elementary:
-tableaux are enumerated by direct backtracking, chains of diagrams by
-explicit horizontal-strip extension.
+semistandard fillings are counted by direct backtracking, chains of
+diagrams by explicit horizontal-strip extension.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class YoungDiagram:
     @property
     def size(self) -> int:
         return sum(self.rows)
-
-    def num_rows(self) -> int:
-        return len(self.rows)
 
     def row(self, i: int) -> int:
         """Length of row ``i`` (0-based); rows past the end read as 0."""
@@ -101,7 +98,7 @@ class SkewShape:
         return self.outer.size - self.inner.size
 
     def cells(self) -> tuple[tuple[int, int], ...]:
-        """All (row, col) boxes, column-major (needed by the tableau filler)."""
+        """All (row, col) boxes, column-major (the Kostka counter's fill order)."""
         out = self.outer.rows
         width = out[0] if out else 0
         return tuple(
@@ -138,109 +135,42 @@ def as_composition(parts, length: int | None = None) -> tuple[int, ...]:
     return t
 
 
-class SkewTableau:
-    """A semistandard filling of a skew shape.
+@cache
+def _kostka(outer: tuple, inner: tuple, content: tuple) -> int:
+    """Count the semistandard fillings by backtracking over the cells.
 
-    ``rows[r]`` holds the entries of the skew cells of row ``r`` only, left
-    to right; cells belonging to the inner shape are not stored.
-    """
-
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, shape: SkewShape, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        expected = tuple(
-            shape.outer.row(r) - shape.inner.row(r) for r in range(len(shape.outer.rows))
-        )
-        if tuple(len(row) for row in rows) != expected:
-            raise ValueError(f"entries {rows} do not fill shape {shape!r}")
-        for row in rows:
-            if any(v < 1 for v in row):
-                raise ValueError("entries must be positive")
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row not weakly increasing: {row}")
-        for r in range(1, len(rows)):
-            for c in range(shape.outer.row(r)):
-                if shape.has_cell(r, c) and shape.has_cell(r - 1, c):
-                    above = rows[r - 1][c - shape.inner.row(r - 1)]
-                    here = rows[r][c - shape.inner.row(r)]
-                    if above >= here:
-                        raise ValueError(f"column not strictly increasing at {(r, c)}")
-        self.shape = shape
-        self.rows = rows
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Entries row by row, top to bottom, left to right."""
-        return tuple(v for row in self.rows for v in row)
-
-    def content(self, levels: int | None = None) -> tuple[int, ...]:
-        word = self.reading_word()
-        m = max(word, default=0) if levels is None else levels
-        return tuple(sum(1 for v in word if v == i) for i in range(1, m + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewTableau):
-            return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
-    def __repr__(self):
-        return f"SkewTableau({self.shape!r}, {self.rows!r})"
-
-
-def interlaces(a, b) -> bool:
-    """True iff ``a_j >= b_j >= a_{j+1}`` for all j (missing rows read as 0)."""
-    arows = tuple(a) if not isinstance(a, YoungDiagram) else a.rows
-    brows = tuple(b) if not isinstance(b, YoungDiagram) else b.rows
-    n = max(len(arows), len(brows)) + 1
-    get = lambda t, j: t[j] if j < len(t) else 0
-    return all(
-        get(arows, j) >= get(brows, j) >= get(arows, j + 1) for j in range(n)
-    )
-
-
-def _fillings(outer, inner, content):
-    """Yield entry grids (dicts (r,c) -> value) of semistandard fillings.
-
-    Cells are processed column by column so both the left and the upper
+    Cells are filled column by column, so both the left and the upper
     neighbour of the current cell are already placed; row/column feasibility
     prunes each branch immediately.
     """
     shape = SkewShape(YoungDiagram(outer), YoungDiagram(inner))
     cells = shape.cells()
     if sum(content) != len(cells):
-        return
+        return 0
     remaining = list(content)
     m = len(content)
     grid: dict[tuple[int, int], int] = {}
 
     def rec(idx):
         if idx == len(cells):
-            yield dict(grid)
-            return
+            return 1
         r, c = cells[idx]
         lo = 1
         if shape.has_cell(r, c - 1):
             lo = max(lo, grid[(r, c - 1)])
         if shape.has_cell(r - 1, c):
             lo = max(lo, grid[(r - 1, c)] + 1)
+        count = 0
         for v in range(lo, m + 1):
             if remaining[v - 1] == 0:
                 continue
             remaining[v - 1] -= 1
             grid[(r, c)] = v
-            yield from rec(idx + 1)
-            del grid[(r, c)]
+            count += rec(idx + 1)
             remaining[v - 1] += 1
+        return count
 
-    yield from rec(0)
-
-
-@cache
-def _kostka(outer: tuple, inner: tuple, content: tuple) -> int:
-    return sum(1 for _ in _fillings(outer, inner, content))
+    return rec(0)
 
 
 def kostka(shape: SkewShape, content) -> int:
@@ -251,64 +181,6 @@ def kostka(shape: SkewShape, content) -> int:
     """
     content = as_composition(content)
     return _kostka(shape.outer.rows, shape.inner.rows, content)
-
-
-def enumerate_skew_ssyt(shape: SkewShape, content) -> list[SkewTableau]:
-    """All semistandard tableaux of ``shape`` and ``content``.
-
-    The list is sorted lexicographically by reading word, duplicate-free,
-    and its length equals ``kostka(shape, content)``.
-    """
-    content = as_composition(content)
-    inner = shape.inner
-    out = []
-    for grid in _fillings(shape.outer.rows, shape.inner.rows, content):
-        rows = tuple(
-            tuple(grid[(r, c)] for c in range(inner.row(r), shape.outer.row(r)))
-            for r in range(len(shape.outer.rows))
-        )
-        out.append(SkewTableau(shape, rows))
-    out.sort(key=lambda t: t.reading_word())
-    return out
-
-
-def chain_to_tableau(chain) -> SkewTableau:
-    """Fill ``F_i / F_{i-1}`` with the letter ``i`` along an interlacing chain."""
-    chain = [d if isinstance(d, YoungDiagram) else YoungDiagram(d) for d in chain]
-    if not chain:
-        raise ValueError("chain must contain at least one diagram")
-    for prev, cur in zip(chain, chain[1:]):
-        if not interlaces(cur, prev):
-            raise ValueError("not a horizontal-strip chain")
-    shape = SkewShape(chain[-1], chain[0])
-    rows = []
-    for r in range(len(chain[-1].rows)):
-        row = []
-        for c in range(chain[0].row(r), chain[-1].row(r)):
-            level = next(i for i in range(1, len(chain)) if c < chain[i].row(r))
-            row.append(level)
-        rows.append(tuple(row))
-    return SkewTableau(shape, rows)
-
-
-def tableau_to_chain(t: SkewTableau, levels: int | None = None) -> tuple[YoungDiagram, ...]:
-    """Inverse of :func:`chain_to_tableau`.
-
-    ``levels`` fixes the chain length (entries bound); by default the largest
-    entry present is used, so an empty tableau maps to a length-one chain.
-    """
-    word = t.reading_word()
-    m = max(word, default=0) if levels is None else levels
-    if any(v > m for v in word):
-        raise ValueError(f"entry exceeds requested chain length {m}")
-    chain = [t.shape.inner]
-    for i in range(1, m + 1):
-        rows = tuple(
-            t.shape.inner.row(r) + sum(1 for v in t.rows[r] if v <= i)
-            for r in range(len(t.shape.outer.rows))
-        )
-        chain.append(YoungDiagram(rows))
-    return tuple(chain)
 
 
 def horizontal_strips(d: YoungDiagram, size: int, max_rows: int | None = None):

@@ -198,7 +198,7 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
     terms = []
     prev = 0
     for v in levels:
-        members = {el for el in poset.elements if f.value(el) >= v}
+        members = {el for el, x in zip(poset.elements, f.values) if x >= v}
         terms.append((v - prev, IncreasingSet(poset, members)))
         prev = v
     terms.reverse()

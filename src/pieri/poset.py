@@ -67,6 +67,13 @@ class GammaPoset:
         elements += [Eps(s, t) for s, t in eps_pairs(ell)]
         self.elements: tuple = tuple(elements)
         self._pos = {el: i for i, el in enumerate(elements)}
+        self._row_slices = {}
+        start = 0
+        for level in range(-ell, ell + 1):
+            stop = start + self.row_length(level)
+            self._row_slices[level] = slice(start, stop)
+            start = stop
+        self.eps_slice = slice(start, len(elements))
 
         n = len(elements)
         up = [set() for _ in range(n)]  # strict covers-from-generators: b -> {a : a >= b}
@@ -106,6 +113,13 @@ class GammaPoset:
         if not -self.ell <= level <= self.ell:
             raise ValueError(f"level {level} out of range for ell={self.ell}")
         return self.k + max(0, level)
+
+    def row_slice(self, level: int) -> slice:
+        """Positions of the row at ``level`` in the canonical element order."""
+        try:
+            return self._row_slices[level]
+        except KeyError:
+            raise ValueError(f"level {level} out of range for ell={self.ell}") from None
 
     @property
     def eps_elements(self) -> tuple[Eps, ...]:

@@ -14,8 +14,16 @@ from pieri.cone import (
     s_of_abc,
     zero_point,
 )
-from pieri.diagrams import EMPTY, SkewShape, YoungDiagram, interlaces, kostka
+from pieri.diagrams import EMPTY, SkewShape, YoungDiagram, kostka
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
+
+
+def interlaces(a, b) -> bool:
+    """Independent oracle: ``a_j >= b_j >= a_{j+1}`` for all j, missing rows 0."""
+    a, b = tuple(a), tuple(b)
+    n = max(len(a), len(b)) + 1
+    a, b = a + (0,) * (n + 1 - len(a)), b + (0,) * (n - len(b))
+    return all(a[j] >= b[j] >= a[j + 1] for j in range(n))
 
 
 def brute_force_members(poset, max_value):
