@@ -8,7 +8,6 @@ from .algebra import (
     StandardTerm,
     decompose_o,
     decompose_sp,
-    eta_cij,
     eta_of,
     highest_weight_check,
     invert_predicted_lm,

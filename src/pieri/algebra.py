@@ -33,7 +33,7 @@ from .diagrams import (
     kostka,
     partitions_of,
 )
-from .hibi import IncreasingSet, from_cijz, increasing_sets, standard_decomposition
+from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import GammaPoset, eps_pairs
 from .polyring import Monomial, Polynomial, PolyRing, Variable
 
@@ -48,19 +48,26 @@ class PieriContext:
             )
         self.n, self.k, self.ell = n, k, ell
         self.poset = GammaPoset(k, ell)
-        self.ring = PolyRing(n, k, ell)
+        self.ring = ring = PolyRing(n, k, ell)
         self.lattice = increasing_sets(self.poset)
-        self._determinants: dict = {}  # by (c, I, J) of every up-set; see eta_generator_of_key
-        self.generators = tuple(
-            (a_set, eta_generator_of_key(self, a_set)) for a_set in self.lattice
-        )
+        determinants = {}  # up-sets that differ only in Z share their (c, I, J) determinant
+        generators = []
+        for a_set in self.lattice:
+            key = (a_set.c, a_set.I, a_set.J)
+            if key not in determinants:
+                determinants[key] = _key_determinant(ring, *key)
+            pairings = ring.monomial({Variable("rr", e.s, e.t): 1 for e in a_set.Z})
+            generators.append((a_set, determinants[key] * Polynomial(ring, {pairings: 1})))
+        self.generators = tuple(generators)
         assert all(not eta.is_zero() for _, eta in self.generators)
-        self._eta_by_members = {a.members: eta for a, eta in self.generators}
-        self._raising = tuple(map(self.ring.compile_derivation, self.raising_derivations()))
+        self._etas = dict(self.generators)
+        self._raising = tuple(map(ring.compile_derivation, self.raising_derivations()))
+        self._lm_layout = _lm_layout(self.poset, ring)
 
     def eta(self, a_set: IncreasingSet) -> Polynomial:
+        """The generator of an up-set of this context's poset."""
         try:
-            return self._eta_by_members[a_set.members]
+            return self._etas[a_set]
         except KeyError:
             raise ValueError(f"{a_set!r} does not belong to this context") from None
 
@@ -113,30 +120,6 @@ def _key_determinant(ring: PolyRing, c: int, I, J) -> Polynomial:
     return ring.determinant(matrix)
 
 
-def eta_cij(ctx: PieriContext, c: int, I=(), J=()) -> Polynomial:
-    """The determinant generator for a row-profile key (c, I, J).
-
-    The key is checked by :func:`pieri.hibi.from_cijz`; the determinant is
-    the one the context built for it.
-    """
-    a_set = from_cijz(ctx.poset, c, I, J)
-    return ctx._determinants[a_set.c, a_set.I, a_set.J]
-
-
-def eta_generator_of_key(ctx: PieriContext, a_set: IncreasingSet) -> Polynomial:
-    """Generator polynomial for an increasing set: determinant times pairings.
-
-    Up-sets that differ only in Z share their determinant, so the context
-    builds it once per (c, I, J); the pairings of Z are one monomial shift.
-    """
-    key = (a_set.c, a_set.I, a_set.J)
-    if key not in ctx._determinants:
-        ctx._determinants[key] = _key_determinant(ctx.ring, *key)
-    ring = ctx.ring
-    pairings = ring.monomial({Variable("rr", e.s, e.t): 1 for e in a_set.Z})
-    return ctx._determinants[key] * Polynomial(ring, {pairings: 1})
-
-
 def eta_of(ctx: PieriContext, g: ConePoint) -> Polynomial:
     """Product of generator polynomials along the standard decomposition."""
     out = ctx.ring.one()
@@ -145,68 +128,69 @@ def eta_of(ctx: PieriContext, g: ConePoint) -> Polynomial:
     return out
 
 
+def _lm_layout(poset: GammaPoset, ring: PolyRing) -> tuple:
+    """(variable rank, value position, base position or None) per exponent.
+
+    ``lm_predicted`` reads each exponent as the value at the position minus
+    the value at the base (None reads as 0); every value position appears
+    once, and in rank order each base is filled before it is used.
+    """
+    k, ell = poset.k, poset.ell
+
+    def at(level, i):  # position of 0-based entry i of the row at ``level``
+        return poset.row_slice(level).start + i
+
+    def rank(kind, i, j):
+        return ring.rank(Variable(kind, i, j))
+
+    layout = [(rank("x", u, u), at(0, u - 1), None) for u in range(1, k + 1)]
+    for b in range(1, ell + 1):
+        layout += [
+            (rank("y", a, b), at(b, a - 1), at(b - 1, a - 1) if a < k + b else None)
+            for a in range(1, k + b + 1)
+        ]
+    for j in range(1, ell + 1):
+        layout += [(rank("rx", i, j), at(-j, i - 1), at(-j + 1, i - 1)) for i in range(1, k + 1)]
+    layout += [
+        (rank("rr", s, t), pos, None)
+        for pos, (s, t) in enumerate(eps_pairs(ell), poset.eps_slice.start)
+    ]
+    return tuple(layout)
+
+
 def lm_predicted(ctx: PieriContext, g: ConePoint) -> Monomial:
     """The leading monomial a cone point is expected to contribute.
 
     Diagonal matrix variables carry the middle row, vector and cross
     variables the consecutive row differences (entries beyond a row's
     length read as zero), pure pairings the pair-node values.  The
-    exponents are linear in ``g``.
+    exponents are linear in ``g``.  A negative one, which only a point that
+    is not order preserving can give, raises ValueError.
     """
-    k, ell = ctx.k, ctx.ell
-    rows = {i: g.row(i) for i in range(-ell, ell + 1)}
-    exps: dict[Variable, int] = {}
-    for u in range(1, k + 1):
-        e = rows[0][u - 1]
-        if e:
-            exps[Variable("x", u, u)] = e
-    for b in range(1, ell + 1):
-        prev = rows[b - 1]
-        for a in range(1, k + b + 1):
-            below = prev[a - 1] if a - 1 < len(prev) else 0
-            e = rows[b][a - 1] - below
-            if e:
-                exps[Variable("y", a, b)] = e
-    for j in range(1, ell + 1):
-        prev = rows[-j + 1]
-        for i in range(1, k + 1):
-            e = rows[-j][i - 1] - prev[i - 1]
-            if e:
-                exps[Variable("rx", i, j)] = e
-    for (s, t), e in zip(eps_pairs(ell), g.eps_values()):
-        if e:
-            exps[Variable("rr", s, t)] = e
-    return ctx.ring.monomial(exps)
+    values = g.values
+    exps = [0] * ctx.ring.nvars
+    for rank, pos, base in ctx._lm_layout:
+        e = values[pos] if base is None else values[pos] - values[base]
+        if e < 0:
+            raise ValueError(f"negative exponent for {ctx.ring.variables[rank]!r}")
+        exps[rank] = e
+    return tuple(exps)
 
 
 def invert_predicted_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
     """Recover the cone point with the given predicted leading monomial.
 
-    Returns None when no cone point matches (off-diagonal matrix variables,
-    vector variables below their row range, or a reconstruction that fails
-    order preservation).
+    Returns None when no cone point matches (an exponent on a variable
+    outside the layout, such as an off-diagonal matrix variable, or a
+    reconstruction that fails order preservation).
     """
-    k, ell = ctx.k, ctx.ell
-    exps = dict(ctx.ring.monomial_degrees(mono))
-
-    def e(kind, i, j):
-        return exps.pop(Variable(kind, i, j), 0)
-
-    rows = {0: [e("x", u, u) for u in range(1, k + 1)]}
-    for b in range(1, ell + 1):
-        prev = rows[b - 1]
-        rows[b] = [
-            (prev[a - 1] if a - 1 < len(prev) else 0) + e("y", a, b)
-            for a in range(1, k + b + 1)
-        ]
-    for j in range(1, ell + 1):
-        prev = rows[-j + 1]
-        rows[-j] = [prev[i - 1] + e("rx", i, j) for i in range(1, k + 1)]
-    values = tuple(v for i in range(-ell, ell + 1) for v in rows[i])
-    values += tuple(e("rr", s, t) for s, t in eps_pairs(ell))
-    if exps:
-        return None  # leftover exponents on variables outside the image
-    if not is_member(ctx.poset, values):
+    values = [0] * len(ctx.poset)
+    used = 0
+    for rank, pos, base in ctx._lm_layout:
+        e = mono[rank]
+        used += e
+        values[pos] = e if base is None else e + values[base]
+    if used != sum(mono) or not is_member(ctx.poset, values):
         return None
     return ConePoint(ctx.poset, values, validate=False)
 

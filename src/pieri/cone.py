@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .diagrams import (
     YoungDiagram,
     _compositions,
+    _int_tuple,
     as_composition,
     bounded_diagrams,
     horizontal_strips,
@@ -67,8 +68,8 @@ def _values_tuple(poset: GammaPoset, values) -> tuple[int, ...]:
         extra = [el for el in values if el not in poset]
         if extra:
             raise ValueError(f"{extra[0]!r} is not an element of {poset!r}")
-        return tuple(int(values[el]) for el in poset.elements)
-    vals = tuple(int(v) for v in values)
+        return _int_tuple(values[el] for el in poset.elements)
+    vals = _int_tuple(values)
     if len(vals) != len(poset):
         raise ValueError(f"expected {len(poset)} values, got {len(vals)}")
     return vals

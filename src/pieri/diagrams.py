@@ -16,6 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import index
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    """The entries as a tuple of ints; a non-integral one (2.7, "3") raises ValueError."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integers, got {values!r}") from None
 
 
 class YoungDiagram:
@@ -24,7 +34,7 @@ class YoungDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows=()):
-        rows = tuple(int(r) for r in rows)
+        rows = _int_tuple(rows)
         while rows and rows[-1] == 0:
             rows = rows[:-1]
         if rows and rows[-1] < 0:
@@ -125,7 +135,7 @@ class SkewShape:
 
 def as_composition(parts, length: int | None = None) -> tuple[int, ...]:
     """Normalize to a tuple of nonnegative ints, optionally zero-padded."""
-    t = tuple(int(x) for x in parts)
+    t = _int_tuple(parts)
     if any(x < 0 for x in t):
         raise ValueError(f"composition entries must be nonnegative: {t}")
     if length is not None:

@@ -1,7 +1,8 @@
 """Increasing subsets of the poset and the distributive lattice they form.
 
-Every increasing (upward-closed) subset is a union of a row-profile part,
-determined by a triple (c, I, J) through the counting recurrences
+An increasing (upward-closed) subset is a 0/1 cone point, its indicator.
+Every one is a union of a row-profile part, determined by a triple
+(c, I, J) through the counting recurrences
 
     a_0 = c,   a_{-s-1} = a_{-s} + [s+1 in I],   a_{s+1} = a_s + [s+1 in J],
 
@@ -15,44 +16,30 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .cone import ConePoint, zero_point
-from .poset import Eps, Gamma, GammaPoset
+from .cone import ConePoint, is_member, zero_point
+from .poset import Eps, GammaPoset
 
 
 class IncreasingSet:
-    """An upward-closed subset, carrying its canonical (c, I, J, Z) key.
+    """An upward-closed subset: its indicator and canonical (c, I, J, Z) key.
 
-    ``IncreasingSet(poset, members)`` reads the key off the row counts and
-    rebuilds the set with :func:`from_cijz`.  That reproduces the members
-    exactly when the rows are prefixes whose counts step by 0 or 1 outward,
-    that is, when the set is upward closed; otherwise ValueError.
+    ``values`` is the indicator in canonical element order (what ``chi()``
+    returns), and sets compare by it.  ``IncreasingSet(poset, members)``
+    checks the indicator with :func:`pieri.cone.is_member` (ValueError
+    unless upward closed) and reads the key off its row counts.
     """
 
-    __slots__ = ("poset", "members", "c", "I", "J", "Z", "_profile")
+    __slots__ = ("poset", "values", "c", "I", "J", "Z", "_profile")
 
     def __init__(self, poset: GammaPoset, members):
-        members = frozenset(members)
-        ell = poset.ell
-        counts = [0] * (2 * ell + 1)
+        values = [0] * len(poset)
         for el in members:
-            if el not in poset:
-                raise ValueError(f"{el!r} is not an element of {poset!r}")
-            if isinstance(el, Gamma):
-                counts[el.level + ell] += 1
-        try:
-            built = from_cijz(
-                poset,
-                counts[ell],
-                (s for s in range(1, ell + 1) if counts[ell - s] > counts[ell - s + 1]),
-                (s for s in range(1, ell + 1) if counts[ell + s] > counts[ell + s - 1]),
-                (el for el in members if isinstance(el, Eps)),
-            )
-        except ValueError:  # counts that fall and rise again can overfill I
-            built = None
-        if built is None or built.members != members:
-            raise ValueError(f"{set(members)} is not upward closed")
-        for name in self.__slots__:
-            setattr(self, name, getattr(built, name))
+            values[poset.index(el)] = 1
+        _store_indicator(self, poset, tuple(values))
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(el for el, v in zip(self.poset.elements, self.values) if v)
 
     @property
     def key(self):
@@ -64,18 +51,15 @@ class IncreasingSet:
 
     def chi(self) -> ConePoint:
         """The indicator function; always a cone member."""
-        values = tuple(
-            1 if el in self.members else 0 for el in self.poset.elements
-        )
-        return ConePoint(self.poset, values, validate=False)
+        return ConePoint(self.poset, self.values, validate=False)
 
     def union(self, other: "IncreasingSet") -> "IncreasingSet":
         self._check_same_poset(other)
-        return IncreasingSet(self.poset, self.members | other.members)
+        return _indicator_set(self.poset, tuple(map(max, self.values, other.values)))
 
     def intersect(self, other: "IncreasingSet") -> "IncreasingSet":
         self._check_same_poset(other)
-        return IncreasingSet(self.poset, self.members & other.members)
+        return _indicator_set(self.poset, tuple(map(min, self.values, other.values)))
 
     __or__ = union
     __and__ = intersect
@@ -85,32 +69,57 @@ class IncreasingSet:
             raise ValueError("increasing sets live on different posets")
 
     def __contains__(self, el):
-        return el in self.members
+        return el in self.poset and self.values[self.poset.index(el)] == 1
 
     def __len__(self):
-        return len(self.members)
+        return sum(self.values)
 
     def __le__(self, other):
         self._check_same_poset(other)
-        return self.members <= other.members
+        return all(a <= b for a, b in zip(self.values, other.values))
 
     def __lt__(self, other):
-        self._check_same_poset(other)
-        return self.members < other.members
+        return self <= other and self.values != other.values
 
     def __eq__(self, other):
         if not isinstance(other, IncreasingSet):
             return NotImplemented
-        return self.poset == other.poset and self.members == other.members
+        return self.poset == other.poset and self.values == other.values
 
     def __hash__(self):
-        return hash((self.poset, self.members))
+        return hash((self.poset, self.values))
 
     def __repr__(self):
         return (
             f"IncreasingSet(c={self.c}, I={sorted(self.I)}, "
             f"J={sorted(self.J)}, Z={sorted((e.s, e.t) for e in self.Z)})"
         )
+
+
+def _store_indicator(a_set: IncreasingSet, poset: GammaPoset, values: tuple) -> IncreasingSet:
+    """Fill ``a_set`` from a 0/1 indicator, which must be upward closed.
+
+    The key is read off the row counts: c is the middle count, and I and J
+    are the steps at which the count grows going outward.
+    """
+    if not is_member(poset, values):
+        members = {el for el, v in zip(poset.elements, values) if v}
+        raise ValueError(f"{members} is not upward closed")
+    ell = poset.ell
+    counts = tuple(sum(values[poset.row_slice(level)]) for level in range(-ell, ell + 1))
+    a_set.poset, a_set.values, a_set._profile = poset, values, counts
+    a_set.c = counts[ell]
+    a_set.I = frozenset(s for s in range(1, ell + 1) if counts[ell - s] > counts[ell - s + 1])
+    a_set.J = frozenset(s for s in range(1, ell + 1) if counts[ell + s] > counts[ell + s - 1])
+    a_set.Z = frozenset(
+        el for el, v in zip(poset.eps_elements, values[poset.eps_slice]) if v
+    )
+    return a_set
+
+
+def _indicator_set(poset: GammaPoset, values: tuple) -> IncreasingSet:
+    """The increasing set with the given 0/1 indicator, checked as above."""
+    return _store_indicator(object.__new__(IncreasingSet), poset, values)
 
 
 def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
@@ -140,13 +149,13 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     for s in range(1, ell + 1):
         counts[ell - s] = counts[ell - s + 1] + (s in I)
         counts[ell + s] = counts[ell + s - 1] + (s in J)
+    values = []
+    for level, count in enumerate(counts, -ell):
+        values += [1] * count + [0] * (poset.row_length(level) - count)
+    values += [1 if el in Z else 0 for el in poset.eps_elements]
     a_set = object.__new__(IncreasingSet)
-    a_set.poset = poset
-    a_set.members = Z.union(
-        Gamma(i, j) for i in range(-ell, ell + 1) for j in range(1, counts[i + ell] + 1)
-    )
+    a_set.poset, a_set.values, a_set._profile = poset, tuple(values), tuple(counts)
     a_set.c, a_set.I, a_set.J, a_set.Z = c, I, J, Z
-    a_set._profile = tuple(counts)
     return a_set
 
 
@@ -178,11 +187,7 @@ class StandardExpression(NamedTuple):
     def reconstruct(self, poset: GammaPoset) -> ConePoint:
         total = zero_point(poset)
         for coeff, a_set in self.terms:
-            chi = a_set.chi()
-            scaled = ConePoint(
-                poset, tuple(coeff * v for v in chi.values), validate=False
-            )
-            total = total + scaled
+            total = total + ConePoint(poset, tuple(coeff * v for v in a_set.values), validate=False)
         return total
 
 
@@ -191,15 +196,16 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
 
     With v_1 < ... < v_m the distinct positive values, the set where
     ``f >= v_t`` gets coefficient ``v_t - v_{t-1}``; the terms are stored
-    smallest set first, so the sets are strictly nested ascending.
+    smallest set first, so the sets are strictly nested ascending.  A level
+    set that is not upward closed raises ValueError.
     """
     poset = f.poset
     levels = sorted({v for v in f.values if v > 0})
     terms = []
     prev = 0
     for v in levels:
-        members = {el for el, x in zip(poset.elements, f.values) if x >= v}
-        terms.append((v - prev, IncreasingSet(poset, members)))
+        indicator = tuple(1 if x >= v else 0 for x in f.values)
+        terms.append((v - prev, _indicator_set(poset, indicator)))
         prev = v
     terms.reverse()
     return StandardExpression(tuple(terms))
@@ -213,9 +219,13 @@ def lattice_hasse(poset: GammaPoset) -> list[tuple[IncreasingSet, IncreasingSet]
     lowers follow generation order.
     """
     sets = increasing_sets(poset)
-    order = {s.members: i for i, s in enumerate(sets)}
+    order = {s.values: i for i, s in enumerate(sets)}
     edges = []
     for upper in sets:
-        lowers = (order.get(upper.members - {el}) for el in upper.members)
+        values = upper.values
+        lowers = (
+            order.get(values[:p] + (0,) + values[p + 1:])
+            for p, v in enumerate(values) if v
+        )
         edges += [(upper, sets[i]) for i in sorted(i for i in lowers if i is not None)]
     return edges

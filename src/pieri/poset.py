@@ -74,6 +74,7 @@ class GammaPoset:
             self._row_slices[level] = slice(start, stop)
             start = stop
         self.eps_slice = slice(start, len(elements))
+        self.eps_elements: tuple[Eps, ...] = self.elements[self.eps_slice]
 
         n = len(elements)
         up = [set() for _ in range(n)]  # strict covers-from-generators: b -> {a : a >= b}
@@ -121,10 +122,6 @@ class GammaPoset:
         except KeyError:
             raise ValueError(f"level {level} out of range for ell={self.ell}") from None
 
-    @property
-    def eps_elements(self) -> tuple[Eps, ...]:
-        return tuple(Eps(s, t) for s, t in eps_pairs(self.ell))
-
     def __len__(self):
         return len(self.elements)
 
@@ -146,13 +143,6 @@ class GammaPoset:
         i = self.index(el)
         return tuple(
             self.elements[j] for j in range(len(self.elements)) if self._leq[i][j]
-        )
-
-    def generating_relations(self) -> tuple[tuple, ...]:
-        """(greater, lesser) pairs whose closure defines the order."""
-        return tuple(
-            (self.elements[a], self.elements[b])
-            for a, b in self.relation_index_pairs
         )
 
     def hasse_edges(self) -> list[tuple]:

@@ -8,7 +8,6 @@ from pieri.algebra import (
     check_rank,
     decompose_o,
     decompose_sp,
-    eta_cij,
     eta_of,
     highest_weight_check,
     invert_predicted_lm,
@@ -21,7 +20,7 @@ from pieri.algebra import (
 from pieri.cone import zero_point
 from pieri.diagrams import EMPTY, YoungDiagram, partitions_of
 from pieri.hibi import from_cijz
-from pieri.poset import Eps
+from pieri.poset import Eps, GammaPoset
 from pieri.polyring import Variable
 
 
@@ -43,22 +42,28 @@ def test_stable_range_enforced():
 
 def test_eta_cij_examples(ctx11):
     ring = ctx11.ring
-    assert eta_cij(ctx11, 0) == ring.one()
-    assert eta_cij(ctx11, 1) == ring.x(1, 1)
-    assert eta_cij(ctx11, 0, (), (1,)) == ring.y(1, 1)
+    assert ctx11.eta(from_cijz(ctx11.poset, 0)) == ring.one()
+    assert ctx11.eta(from_cijz(ctx11.poset, 1)) == ring.x(1, 1)
+    assert ctx11.eta(from_cijz(ctx11.poset, 0, (), (1,))) == ring.y(1, 1)
     # the 2x2 block with a pairing row: single term with fixed sign
-    assert eta_cij(ctx11, 0, (1,), (1,)) == -(ring.y(1, 1) * ring.rx(1, 1))
+    assert ctx11.eta(from_cijz(ctx11.poset, 0, (1,), (1,))) == -(ring.y(1, 1) * ring.rx(1, 1))
 
 
 def test_eta_cij_validation(ctx11, ctx21):
     with pytest.raises(ValueError, match="row capacity"):
-        eta_cij(ctx11, 1, (1,), ())
+        ctx11.eta(from_cijz(ctx11.poset, 1, (1,), ()))
     with pytest.raises(ValueError):
-        eta_cij(ctx11, 2)
+        ctx11.eta(from_cijz(ctx11.poset, 2))
     with pytest.raises(ValueError):
-        eta_cij(ctx11, 0, (2,), ())
+        ctx11.eta(from_cijz(ctx11.poset, 0, (2,), ()))
     with pytest.raises(ValueError, match="row capacity"):
-        eta_cij(ctx21, 2, (1,), ())
+        ctx21.eta(from_cijz(ctx21.poset, 2, (1,), ()))
+
+
+def test_eta_refuses_an_up_set_of_another_poset(ctx21):
+    foreign = from_cijz(GammaPoset(1, 1), 1, (), (1,))
+    with pytest.raises(ValueError, match="does not belong to this context"):
+        ctx21.eta(foreign)
 
 
 def test_eta_generator_cases(ctx11):
@@ -87,7 +92,7 @@ def test_lemma_lm_formula_all_keys(ctx21):
             for I in itertools.combinations(range(1, ell + 1), u):
                 for v in range(ell + 1):
                     for J in itertools.combinations(range(1, ell + 1), v):
-                        eta = eta_cij(ctx21, c, I, J)
+                        eta = ctx21.eta(from_cijz(ctx21.poset, c, I, J))
                         expect = {Variable("x", a, a): 1 for a in range(1, c + 1)}
                         for a, j in enumerate(J, start=1):
                             expect[Variable("y", c + a, j)] = 1

@@ -14,7 +14,8 @@ from pieri.cone import (
     s_of_abc,
     zero_point,
 )
-from pieri.diagrams import EMPTY, SkewShape, YoungDiagram, kostka
+from pieri.algebra import decompose_o
+from pieri.diagrams import EMPTY, SkewShape, YoungDiagram, as_composition, kostka
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
@@ -289,3 +290,20 @@ def test_fiber_row_bound_errors():
         enumerate_fiber(p, EMPTY, YoungDiagram((1, 1)), (0,))
     with pytest.raises(ValueError):
         enumerate_fiber(p, YoungDiagram((1, 1, 1)), EMPTY, (0,))
+
+
+def test_non_integral_input_is_refused():
+    # the CLI refuses --D 1.5; the library must not truncate it either
+    p = GammaPoset(1, 1)
+    with pytest.raises(ValueError, match="expected integers"):
+        YoungDiagram((2.7, 1))
+    with pytest.raises(ValueError, match="expected integers"):
+        as_composition((1, 0.5))
+    with pytest.raises(ValueError, match="expected integers"):
+        decompose_o(1, 1, (1.5,), (1,))
+    with pytest.raises(ValueError, match="expected integers"):
+        ConePoint(p, [0.5] * 4)
+    with pytest.raises(ValueError, match="expected integers"):
+        ConePoint(p, dict.fromkeys(p.elements, 0.5))
+    # bools and ints are integers
+    assert YoungDiagram((True, 1)) == YoungDiagram((1, 1))

@@ -1,0 +1,68 @@
+"""Byte-stability of the CLI: sha256 of stdout and stderr, and the exit code.
+
+Each command runs in-process through ``pieri.cli.main``.  The digests were
+recorded from a known-good build; a change that alters any of these bytes
+fails here.  To see what changed, run the command by hand and compare the
+output with that of the recording commit.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from pieri.cli import main
+
+# (command line, sha256 of stdout); each exits 0 with nothing on stderr
+GOLDEN = [
+    ("poset --k 2 --ell 2 --format json",
+     "dc1283e1c1254fe94470a7fafc4ae531387b63a17eb3bb17e21bed3d7769fbd2"),
+    ("poset --k 2 --ell 2 --format dot",
+     "f764ef9b21da0a2658cb9a6a03f78a17ff36fdef5c90a932cbc21176495d10d1"),
+    ("lattice --k 2 --ell 2 --format json",
+     "194e985158ef9d673821d7fd7e133a93fb1fbb558d6b5bdda96bf1150e58f5ad"),
+    ("lattice --k 2 --ell 2 --format dot",
+     "13ef148f4e3d918b00e17eeb4a69a1e656ea887ae0ff7e009bbfdac6d3a995c0"),
+    ("poset --k 2 --ell 3 --format json",
+     "e3c19bff0598c0111036631bf986e496ae05f6aaee1fb13c03101e6b99f47385"),
+    ("poset --k 2 --ell 3 --format dot",
+     "2b39ff2036d9756d7ab3743a31f4211b10f9103dadc35e6d5ffee07d843342a8"),
+    ("lattice --k 2 --ell 3 --format json",
+     "832a8c00bab26a9cc8480800058704813bcf25ae9987a4a13b11aa893736165e"),
+    ("lattice --k 2 --ell 3 --format dot",
+     "e21151e2f68a8729b271d9861953583ba677804674b5ed29fd0d173445501eeb"),
+    ("decompose --group o --k 1 --ell 1 --D 1 --P 1 --json",
+     "61b63d1c6b495f3f8f846410c787b56046c564c6b84816c5fdcc5e35655f5c28"),
+    ("decompose --group sp --k 1 --ell 1 --n 2 --D 1 --P 1 --json",
+     "be5c393345d2c474de582e7122ac3ce4a6dd190c889dd0e1d67c2e45e4510a14"),
+    ("decompose --group gl --n 3 --D 2,1 --P 1,1 --json",
+     "b0ce8fc82cbf393d8110c88beef59209855e9791b427b86b2e6be61c77a2bc15"),
+    ("cone --k 2 --ell 1 --D 2 --P 2 --F 3,1 --list",
+     "c88955495ad9638302e29b22fb7b0794b662c062688f49d3c84ff8138b126f7d"),
+    ("verify --suite all --k 2 --ell 1 --json",
+     "91923748752bd6635c788b2e4a87110779be53f073d4fb627bc62c68f55ded77"),
+    ("eta --k 1 --ell 1 --n 5 --c 0 --I 1 --J 1 --json",
+     "30e009f951e3bce33b627ff22b503dc22c5691152af72e47c80207cef8ddb136"),
+    ("eta --k 2 --ell 2 --n 9 --c 1 --I 2 --J 1,2 --Z 1:2 --json",
+     "574db543450875aaebb8dfc50af2b082bbd80c59f539919a979d58e6fee0f0d7"),
+    ("eta --k 2 --ell 3 --n 11 --c 0 --I 1,3 --J 2 --Z 1:3,2:3 --json",
+     "0805ae6825251822778531a1d72918c11d30da999f041924fe55325bf245b0fe"),
+]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, out_sha", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_output_bytes(command, out_sha):
+    code, out, err = run(command.split())
+    assert (code, digest(out), digest(err)) == (0, out_sha, digest(""))

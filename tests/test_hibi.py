@@ -298,11 +298,12 @@ def _random_member(poset, rng, cap):
 
 def test_standard_decomposition_rejects_non_member():
     p = GammaPoset(1, 1)
-    with pytest.raises(ValueError):
-        standard_decomposition(
-            ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): 1,
-                          Gamma(1, 1): 0, Gamma(1, 2): 0})
-        )
+    # Gamma(0, 1) <= Gamma(1, 1), so this point is not order preserving;
+    # built unchecked, it must be refused by the decomposition itself
+    bad = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): 1,
+                        Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    with pytest.raises(ValueError, match="is not upward closed"):
+        standard_decomposition(bad)
 
 
 def test_lattice_hasse_small():
