@@ -3,9 +3,11 @@
 This is the computational face of the stable-range iterated Pieri rule:
 the multiplicity of a diagram F in the tensor product labeled by (D, P)
 is computed two independent ways (a skew-Kostka convolution and a
-lattice-point count), the distinguished determinant generators are built
-per increasing set, and their leading monomials drive a subduction
-procedure that rewrites products in the standard monomial basis.
+lattice-point count), and whole tables a third (a Newell–Littlewood
+frontier DP that calls neither of the others).  The distinguished
+determinant generators are built per increasing set, and their leading
+monomials drive a subduction procedure that rewrites products in the
+standard monomial basis.
 
 Everything combinatorial depends only on (k, ell); the matrix size n
 enters through variable ranges and annihilation checks and must satisfy
@@ -14,15 +16,16 @@ the stable range condition 2(k + ell) < n.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .cone import (
     ConePoint,
     MultiDegree,
+    _order_preserving,
     _validated_triple,
     count_c_assignments,
     enumerate_fiber,
-    is_member,
 )
 from .diagrams import (
     EMPTY,
@@ -30,8 +33,10 @@ from .diagrams import (
     YoungDiagram,
     _compositions,
     bounded_diagrams,
+    frontier_pass,
+    horizontal_strips,
     kostka,
-    partitions_of,
+    removed_strips,
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import GammaPoset, eps_pairs
@@ -190,7 +195,8 @@ def invert_predicted_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
         e = mono[rank]
         used += e
         values[pos] = e if base is None else e + values[base]
-    if used != sum(mono) or not is_member(ctx.poset, values):
+    values = tuple(values)
+    if used != sum(mono) or not _order_preserving(ctx.poset, values):
         return None
     return ConePoint(ctx.poset, values, validate=False)
 
@@ -291,21 +297,34 @@ def check_rank(group: str, k: int, ell: int, n: int | None) -> None:
 def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagram, int]:
     """Full multiplicity table of the orthogonal tensor product (D, P).
 
-    Keys run over diagrams with at most k+ell rows, size at most
-    ``|D| + sum(P)`` of matching parity, and positive multiplicity; they are
-    ordered by size, then reverse-lexicographically.  Passing ``n`` asserts
-    the stable range; the table itself does not depend on it.
+    One frontier pass over the parts of ``P`` by the Newell–Littlewood
+    rule for a one-row factor: tensoring with the p-th factor removes a
+    horizontal strip of some size a from each diagram, then adds one of
+    size p - a, capped at k+ell rows.  The diagrams left at the end are
+    the keys, with at most k+ell rows, size at most ``|D| + sum(P)`` of
+    matching parity, and positive multiplicity; they are ordered by size,
+    then reverse-lexicographically.  Passing ``n`` asserts the stable
+    range; the table itself does not depend on it.
     """
     _, D, P = _validated_triple(k, ell, EMPTY, D, P)
     check_rank("o", k, ell, n)
-    hi = D.size + sum(P)
-    table: dict[YoungDiagram, int] = {}
-    for size in range(hi % 2, hi + 1, 2):
-        for f_diag in partitions_of(size, k + ell):
-            m = multiplicity(k, ell, f_diag, D, P)
-            if m:
-                table[f_diag] = m
-    return table
+    table = frontier_pass(D, P, lambda g, p: _newell_littlewood_step(g, p, k + ell))
+    return {f: table[f] for f in sorted(table, key=lambda f: (f.size, [-r for r in f.rows]))}
+
+
+@cache
+def _newell_littlewood_step(g: YoungDiagram, p: int, max_rows: int) -> tuple[YoungDiagram, ...]:
+    """The diagrams one factor σ^(p) reaches from σ^g, once per way.
+
+    Each way removes a horizontal strip of size a from ``g``, then adds one
+    of size p - a with at most ``max_rows`` rows.
+    """
+    return tuple(
+        f
+        for a in range(p + 1)
+        for h in removed_strips(g, a)
+        for f in horizontal_strips(h, p - a, max_rows=max_rows)
+    )
 
 
 def decompose_sp(k: int, ell: int, D, P, n: int) -> dict[YoungDiagram, int]:

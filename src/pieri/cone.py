@@ -77,7 +77,11 @@ def _values_tuple(poset: GammaPoset, values) -> tuple[int, ...]:
 
 def is_member(poset: GammaPoset, values) -> bool:
     """True iff the values are nonnegative and order preserving."""
-    vals = _values_tuple(poset, values)
+    return _order_preserving(poset, _values_tuple(poset, values))
+
+
+def _order_preserving(poset: GammaPoset, vals: tuple[int, ...]) -> bool:
+    """``is_member`` on values already in canonical form (as ``_values_tuple`` gives)."""
     if any(v < 0 for v in vals):
         return False
     # generating relations suffice: closure adds no constraints
@@ -91,7 +95,7 @@ class ConePoint:
 
     def __init__(self, poset: GammaPoset, values, validate: bool = True):
         vals = _values_tuple(poset, values)
-        if validate and not is_member(poset, vals):
+        if validate and not _order_preserving(poset, vals):
             raise ValueError(f"values {vals} are not order preserving / nonnegative")
         self.poset = poset
         self.values = vals

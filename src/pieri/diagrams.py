@@ -1,4 +1,4 @@
-"""Young diagrams, skew shapes, skew Kostka numbers and the GL Pieri rule.
+"""Young diagrams, skew shapes, skew Kostka numbers and strip frontiers.
 
 Diagrams are kept in canonical form: weakly decreasing row lengths with
 trailing zeros trimmed, so the empty diagram is ``YoungDiagram(())``.
@@ -9,7 +9,9 @@ are indexed by tensor-factor position.
 The counting routines here serve as the independent combinatorial side of
 the library's central cross-checks, so they are deliberately elementary:
 semistandard fillings are counted by direct backtracking, chains of
-diagrams by explicit horizontal-strip extension.
+diagrams by explicit horizontal-strip extension.  ``frontier_pass`` pushes
+a diagram through a sequence of such steps; the GL Pieri rule here and the
+orthogonal tables of :mod:`pieri.algebra` are both one pass of it.
 """
 
 from __future__ import annotations
@@ -215,6 +217,44 @@ def horizontal_strips(d: YoungDiagram, size: int, max_rows: int | None = None):
     yield from rec(0, size, ())
 
 
+def removed_strips(d: YoungDiagram, size: int):
+    """All diagrams interlacing ``d`` from below with ``size`` boxes removed.
+
+    These are the G inside ``d`` with ``d/G`` a horizontal strip:
+    ``d_{i+1} <= g_i <= d_i`` for every row.
+    """
+    rows = d.rows
+
+    def rec(j, rem, built):
+        if j == len(rows):
+            if rem == 0:
+                yield YoungDiagram(built)
+            return
+        hi = rows[j]
+        lo = max(rows[j + 1] if j + 1 < len(rows) else 0, hi - rem)
+        for v in range(hi, lo - 1, -1):
+            yield from rec(j + 1, rem - (hi - v), built + (v,))
+
+    yield from rec(0, size, ())
+
+
+def frontier_pass(start: YoungDiagram, steps, successors) -> dict[YoungDiagram, int]:
+    """Push ``{start: 1}`` through one step per entry of ``steps``.
+
+    ``successors(diagram, step)`` yields the diagrams one step reaches, once
+    per way of reaching them; the result maps each diagram at the end to
+    the number of paths that lead there.
+    """
+    frontier = {start: 1}
+    for step in steps:
+        nxt: dict[YoungDiagram, int] = {}
+        for diag, mult in frontier.items():
+            for succ in successors(diag, step):
+                nxt[succ] = nxt.get(succ, 0) + mult
+        frontier = nxt
+    return frontier
+
+
 def bounded_diagrams(bound: tuple[int, ...]):
     """All diagrams fitting under the (weakly decreasing) row bound."""
 
@@ -269,14 +309,7 @@ def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
     check_gl_rank(d, n)
-    frontier = {d: 1}
-    for step in p:
-        nxt: dict[YoungDiagram, int] = {}
-        for diag, mult in frontier.items():
-            for ext in horizontal_strips(diag, step, max_rows=n):
-                nxt[ext] = nxt.get(ext, 0) + mult
-        frontier = nxt
-    return frontier
+    return frontier_pass(d, p, lambda diag, step: horizontal_strips(diag, step, max_rows=n))
 
 
 def gl_dim(d: YoungDiagram, n: int) -> int:

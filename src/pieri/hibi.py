@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .cone import ConePoint, is_member, zero_point
+from .cone import ConePoint, _order_preserving, zero_point
 from .poset import Eps, GammaPoset
 
 
@@ -25,7 +25,7 @@ class IncreasingSet:
 
     ``values`` is the indicator in canonical element order (what ``chi()``
     returns), and sets compare by it.  ``IncreasingSet(poset, members)``
-    checks the indicator with :func:`pieri.cone.is_member` (ValueError
+    checks the indicator with the cone's membership test (ValueError
     unless upward closed) and reads the key off its row counts.
     """
 
@@ -102,7 +102,7 @@ def _store_indicator(a_set: IncreasingSet, poset: GammaPoset, values: tuple) -> 
     The key is read off the row counts: c is the middle count, and I and J
     are the steps at which the count grows going outward.
     """
-    if not is_member(poset, values):
+    if not _order_preserving(poset, values):
         members = {el for el, v in zip(poset.elements, values) if v}
         raise ValueError(f"{members} is not upward closed")
     ell = poset.ell
@@ -196,10 +196,13 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
 
     With v_1 < ... < v_m the distinct positive values, the set where
     ``f >= v_t`` gets coefficient ``v_t - v_{t-1}``; the terms are stored
-    smallest set first, so the sets are strictly nested ascending.  A level
-    set that is not upward closed raises ValueError.
+    smallest set first, so the sets are strictly nested ascending.  A
+    negative value, or a level set that is not upward closed, raises
+    ValueError.
     """
     poset = f.poset
+    if any(v < 0 for v in f.values):
+        raise ValueError(f"negative value in {f.values}: not a cone point")
     levels = sorted({v for v in f.values if v > 0})
     terms = []
     prev = 0

@@ -1,7 +1,7 @@
 """Self-contained verification suites behind the ``verify`` CLI command.
 
 Each suite re-checks one family of structural claims on demand: leading
-monomials, lattice identities, the two multiplicity routes, subduction
+monomials, lattice identities, the three multiplicity routes, subduction
 closure, and annihilation/grading.  Suites report how many instances they
 checked and collect human-readable failure strings instead of raising, so
 the CLI can render a pass/fail table and exit accordingly.
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     PieriContext,
+    decompose_o,
     eta_of,
     highest_weight_check,
     lm_predicted,
@@ -133,22 +134,25 @@ def suite_hibi(k: int, ell: int, n: int | None = None) -> SuiteResult:
 def suite_oracle(
     k: int, ell: int, n: int | None = None, max_d: int = 2, max_p: int = 2
 ) -> SuiteResult:
-    """Fiber cardinalities against the skew-Kostka convolution, with blocks."""
+    """Fiber cardinalities against the convolution and the frontier DP table, with blocks."""
     res = SuiteResult("oracle")
     poset = GammaPoset(k, ell)
     for dsize in range(max_d + 1):
         for d in partitions_of(dsize, k):
             for p in itertools.product(range(max_p + 1), repeat=ell):
+                table = decompose_o(k, ell, d, p)
+                walked = set()
                 hi = d.size + sum(p)
                 for fsize in range(hi % 2, hi + 1, 2):
                     for f in partitions_of(fsize, k + ell):
                         res.checked += 1
+                        walked.add(f)
                         fiber = enumerate_fiber(poset, f, d, p)
                         m = multiplicity(k, ell, f, d, p)
-                        if len(fiber) != m:
+                        if not len(fiber) == m == table.get(f, 0):
                             res.failures.append(
-                                f"|fiber({f.rows},{d.rows},{p})| = {len(fiber)} "
-                                f"but convolution gives {m}"
+                                f"multiplicity of {f.rows} in ({d.rows},{p}): fiber "
+                                f"{len(fiber)}, convolution {m}, DP table {table.get(f, 0)}"
                             )
                             continue
                         groups: dict = {}
@@ -163,6 +167,10 @@ def suite_oracle(
                                     f"block {key} of fiber({f.rows},{d.rows},{p}) "
                                     f"has {len(pts)} points, expected {expect}"
                                 )
+                res.failures += [
+                    f"DP table of ({d.rows},{p}) has unexpected key {f.rows}"
+                    for f in table if f not in walked
+                ]
     return res
 
 

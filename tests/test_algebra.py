@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pieri.algebra import (
     PieriContext,
@@ -17,10 +18,10 @@ from pieri.algebra import (
     multiplicity_via_cone,
     subduct,
 )
-from pieri.cone import zero_point
+from pieri.cone import ConePoint, zero_point
 from pieri.diagrams import EMPTY, YoungDiagram, partitions_of
 from pieri.hibi import from_cijz
-from pieri.poset import Eps, GammaPoset
+from pieri.poset import Eps, Gamma, GammaPoset
 from pieri.polyring import Variable
 
 
@@ -82,6 +83,13 @@ def test_eta_of(ctx11):
     assert eta_of(ctx11, zero_point(ctx11.poset)) == ctx11.ring.one()
     for a_set, eta in ctx11.generators:
         assert eta_of(ctx11, a_set.chi()) == eta
+
+
+def test_eta_of_refuses_negative_values(ctx11):
+    values = [0] * len(ctx11.poset)
+    values[ctx11.poset.index(Gamma(0, 1))] = -1
+    with pytest.raises(ValueError, match="negative value"):
+        eta_of(ctx11, ConePoint(ctx11.poset, values, validate=False))
 
 
 def test_lemma_lm_formula_all_keys(ctx21):
@@ -241,6 +249,30 @@ def test_decompose_o_classical():
     table = decompose_o(2, 1, (2, 1), (2,))
     for f in table:
         assert (3 + 2 - f.size) % 2 == 0 and f.size <= 5
+
+
+@st.composite
+def small_table_inputs(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    ell = draw(st.integers(min_value=1, max_value=4))
+    dsize = draw(st.integers(min_value=0, max_value=3))
+    D = draw(st.sampled_from(partitions_of(dsize, k)))
+    P = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=ell, max_size=ell)
+             .filter(lambda p: sum(p) <= 4))
+    return k, ell, D, tuple(P)
+
+
+@given(small_table_inputs())
+@settings(max_examples=40, deadline=None)
+def test_dp_table_convolution_and_fiber_agree(inputs):
+    k, ell, D, P = inputs
+    table = decompose_o(k, ell, D, P)
+    hi = D.size + sum(P)
+    candidates = [f for size in range(hi % 2, hi + 1, 2) for f in partitions_of(size, k + ell)]
+    assert set(table) <= set(candidates)
+    for f in candidates:
+        m = multiplicity(k, ell, f, D, P)
+        assert table.get(f, 0) == m == multiplicity_via_cone(k, ell, f, D, P), f
 
 
 def test_decompose_o_stable_range_error():

@@ -209,6 +209,23 @@ def test_verify_passes():
     assert out.count("PASS") == 2
 
 
+def test_verify_oracle_catches_a_wrong_dp_table(monkeypatch):
+    import pieri.verify
+
+    real = pieri.verify.decompose_o
+
+    def skewed(k, ell, d, p):
+        table = dict(real(k, ell, d, p))
+        table[pieri.YoungDiagram((1,))] = table.get(pieri.YoungDiagram((1,)), 0) + 1
+        table[pieri.YoungDiagram((9,))] = 1  # a key no walked F can be
+        return table
+
+    monkeypatch.setattr(pieri.verify, "decompose_o", skewed)
+    code, out, _ = run_cli("verify", "--suite", "oracle", "--k", "1", "--ell", "1")
+    assert code == 3 and "FAIL oracle" in out
+    assert "DP table" in out and "unexpected key (9,)" in out
+
+
 def test_verify_all_suites_at_2_1_7():
     code, out, _ = run_cli("verify", "--suite", "all",
                            "--k", "2", "--ell", "1", "--n", "7")

@@ -9,11 +9,13 @@ from pieri.diagrams import (
     SkewShape,
     YoungDiagram,
     as_composition,
+    frontier_pass,
     gl_dim,
     gl_iterated_pieri,
     horizontal_strips,
     kostka,
     partitions_of,
+    removed_strips,
 )
 
 
@@ -239,6 +241,31 @@ def test_strip_extension_is_interlacing(d, data):
     for ext in horizontal_strips(d, size):
         assert interlaces(ext, d)
         assert ext.size == d.size + size
+
+
+@given(d=diagram_strategy(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_strip_removal_matches_interlacing(d, data):
+    size = data.draw(st.integers(min_value=0, max_value=d.size + 1))
+    got = list(removed_strips(d, size))
+    want = [g for g in partitions_of(d.size - size, max(len(d), 1)) if interlaces(d, g)]
+    assert len(got) == len(set(got))
+    assert set(got) == set(want)
+
+
+def test_strip_removal_examples():
+    assert [g.rows for g in removed_strips(YoungDiagram((2, 1)), 1)] == [(2,), (1, 1)]
+    assert list(removed_strips(YoungDiagram((2, 2)), 2)) == [YoungDiagram((2,))]
+    assert list(removed_strips(EMPTY, 0)) == [EMPTY]
+    assert list(removed_strips(EMPTY, 1)) == []
+
+
+def test_frontier_pass_counts_paths():
+    # two unit steps from the empty diagram: (2) and (1, 1) one way each
+    table = frontier_pass(EMPTY, (1, 1), horizontal_strips)
+    assert table == {YoungDiagram((2,)): 1, YoungDiagram((1, 1)): 1}
+    # a successor yielded twice counts twice
+    assert frontier_pass(EMPTY, (0, 0), lambda g, p: [g, g]) == {EMPTY: 4}
 
 
 def test_strip_row_cap():

@@ -38,6 +38,12 @@ GOLDEN = [
      "be5c393345d2c474de582e7122ac3ce4a6dd190c889dd0e1d67c2e45e4510a14"),
     ("decompose --group gl --n 3 --D 2,1 --P 1,1 --json",
      "b0ce8fc82cbf393d8110c88beef59209855e9791b427b86b2e6be61c77a2bc15"),
+    ("decompose --group o --k 3 --ell 3 --D 3,2,1 --P 3,3,3 --json",
+     "b268cc56d9f2d6dfbdf9609442c9679d4f6488969cf2261ebba955a1fd21c2c5"),
+    ("decompose --group o --k 1 --ell 4 --D 3 --P 3,2,2,1 --json",
+     "688a7d16beb33365bbb3bb531c9c769b4d6fc571ea77d9c2547414570a9ad122"),
+    ("decompose --group sp --k 2 --ell 4 --n 6 --P 2,2,2,2 --json",
+     "3fe05ddad2be142451ada560d41404426995499bfd67bb8fcdb33e1f94302b61"),
     ("cone --k 2 --ell 1 --D 2 --P 2 --F 3,1 --list",
      "c88955495ad9638302e29b22fb7b0794b662c062688f49d3c84ff8138b126f7d"),
     ("verify --suite all --k 2 --ell 1 --json",

@@ -306,6 +306,16 @@ def test_standard_decomposition_rejects_non_member():
         standard_decomposition(bad)
 
 
+def test_standard_decomposition_rejects_negative_values():
+    p = GammaPoset(1, 1)
+    # no level set sees the -1, so only an explicit sign check refuses it
+    bad = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): -1,
+                        Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    assert not is_member(p, bad.values)
+    with pytest.raises(ValueError, match="negative value"):
+        standard_decomposition(bad)
+
+
 def test_lattice_hasse_small():
     p = GammaPoset(1, 1)
     edges = lattice_hasse(p)
