@@ -198,7 +198,7 @@ def invert_predicted_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
     values = tuple(values)
     if used != sum(mono) or not _order_preserving(ctx.poset, values):
         return None
-    return ConePoint(ctx.poset, values, validate=False)
+    return ConePoint._trusted(ctx.poset, values)
 
 
 class StandardTerm(NamedTuple):

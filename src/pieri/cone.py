@@ -4,11 +4,21 @@ A point assigns a nonnegative integer to every poset node; the boundary
 rows carry the diagram pair (F at level +ell, D at level -ell) and the
 linear functionals A, B, C, P read off the grading.  Fibers over a fixed
 multidegree are finite and are enumerated exactly.
+
+The rows of a point form two interlacing chains out of the middle row E,
+one up to F and one down to D.  They are walked on plain row tuples: each
+row of the next link is bounded by the end of the chain, so every link
+walked lies on some chain.  Top chains are memoised within one fiber
+call only; bottom chains, which every F of one (D, P) shares, are cached
+per (E, D, ell).  This route shares no strip enumerator with the tables of
+:mod:`pieri.algebra` or the Kostka counts of :mod:`pieri.diagrams`.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, product
+from operator import ge
 from typing import NamedTuple
 
 from .diagrams import (
@@ -16,8 +26,6 @@ from .diagrams import (
     _compositions,
     _int_tuple,
     as_composition,
-    bounded_diagrams,
-    horizontal_strips,
 )
 from .poset import Eps, GammaPoset, eps_pairs
 
@@ -100,6 +108,14 @@ class ConePoint:
         self.poset = poset
         self.values = vals
 
+    @classmethod
+    def _trusted(cls, poset: GammaPoset, values: tuple[int, ...]) -> "ConePoint":
+        """A point from values already canonical (an int tuple of length len(poset)), kept as is."""
+        point = object.__new__(cls)
+        point.poset = poset
+        point.values = values
+        return point
+
     def value(self, el) -> int:
         return self.values[self.poset.index(el)]
 
@@ -140,7 +156,7 @@ class ConePoint:
         if self.poset != other.poset:
             raise ValueError("cone points live on different posets")
         summed = tuple(x + y for x, y in zip(self.values, other.values))
-        return ConePoint(self.poset, summed, validate=False)
+        return ConePoint._trusted(self.poset, summed)
 
     def __eq__(self, other):
         if not isinstance(other, ConePoint):
@@ -155,31 +171,7 @@ class ConePoint:
 
 
 def zero_point(poset: GammaPoset) -> ConePoint:
-    return ConePoint(poset, (0,) * len(poset), validate=False)
-
-
-@cache
-def _chains_between(start: tuple, end: tuple, steps: int, max_rows: int | None):
-    """All interlacing chains start = c_0 <= ... <= c_steps = end.
-
-    Returned as tuples of row tuples.  ``max_rows`` caps every link (used for
-    the negative rows whose slots never grow).
-    """
-    start_d = YoungDiagram(start)
-    end_d = YoungDiagram(end)
-    if steps == 0:
-        return ((start,),) if start == end else ()
-    if not end_d.contains(start_d):
-        return ()
-    budget = end_d.size - start_d.size
-    out = []
-    for size in range(budget + 1):
-        for mid in horizontal_strips(start_d, size, max_rows=max_rows):
-            if not end_d.contains(mid):
-                continue
-            for tail in _chains_between(mid.rows, end, steps - 1, max_rows):
-                out.append((start,) + tail)
-    return tuple(out)
+    return ConePoint._trusted(poset, (0,) * len(poset))
 
 
 @cache
@@ -204,58 +196,124 @@ def count_c_assignments(q, ell: int) -> int:
     return len(_c_assignments(tuple(q), ell))
 
 
-def _steps(chain) -> tuple[int, ...]:
-    """Boxes added at each link of a chain of row tuples."""
-    return tuple(sum(y) - sum(x) for x, y in zip(chain, chain[1:]))
+def _reaches(link: tuple, end: tuple, steps: int) -> bool:
+    """True iff ``steps`` horizontal strips lead from ``link`` to ``end``.
+
+    Both are row tuples of one width.  That holds iff link is inside end and
+    no column of end / link is longer than ``steps``: ``end_{i+steps} <= link_i``.
+    """
+    return (all(x <= e for x, e in zip(link, end))
+            and all(e <= x for x, e in zip(link, end[steps:])))
 
 
-def _flat_rows(chain, lengths) -> tuple[int, ...]:
-    """The rows of a chain, each padded with zeros to its length, end to end."""
-    return sum((rows + (0,) * (n - len(rows)) for rows, n in zip(chain, lengths)), ())
+def _next_links(link: tuple, end: tuple, left: int):
+    """Every diagram one horizontal strip above ``link`` that reaches ``end`` in ``left`` more.
+
+    Rows are tuples of one width.  Row i of such a diagram lies in
+    ``max(link_i, end_{i+left}) .. min(end_i, link_{i-1})``, independently
+    of the other rows, and each of these diagrams does reach ``end``.  So when ``link`` itself reaches ``end`` in ``left + 1`` strips,
+    every range is nonempty and no link is a dead end.
+    """
+    lows = map(max, link, end[left:] + (0,) * left)
+    highs = (end[0],) + tuple(map(min, end[1:], link))
+    return product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
+
+
+def _chains(start: tuple, end: tuple, steps: int):
+    """All interlacing chains start = c_0 <= ... <= c_steps = end, as tuples of row tuples."""
+    if not _reaches(start, end, steps):
+        return
+    if steps == 0:
+        yield (start,)
+        return
+    for link in _next_links(start, end, steps - 1):
+        for tail in _chains(link, end, steps - 1):
+            yield (start,) + tail
+
+
+@cache
+def _bottom_chains(e_rows: tuple, d_rows: tuple, ell: int):
+    """(b, lower rows) of every chain from E up to D in ell strips.
+
+    ``b`` holds the boxes each strip adds; the lower rows are the links
+    from D down to the one above E (levels -ell .. -1), end to end.  Every F
+    of one (D, P) shares these.
+    """
+    return tuple(
+        (tuple(sum(y) - sum(x) for x, y in zip(links, links[1:])),
+         tuple(chain.from_iterable(links[:0:-1])))
+        for links in _chains(e_rows, d_rows, ell)
+    )
 
 
 def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> list[ConePoint]:
     """All points with boundary rows (F, D) and content vector P.
 
     Boundary rows are pinned, interior rows run over interlacing chains
-    from the middle row outward, and the pair-node values are whatever
-    solves the per-index content constraints.  A point's values are laid
-    out in canonical element order: the rows below level 0 from the bottom
-    chain, rows 0..ell from the top chain, then the pair values.  The
-    result is sorted lexicographically by value vector.
+    from the middle row E outward, and the pair-node values are whatever
+    solves the per-index content constraints.  Only the E that reach both
+    F and D are tried, and each link of a chain is walked within the row
+    bounds that keep its end reachable, so no walk is a dead end.  The top
+    chains (E to F), whose j-th strip is capped at p_j boxes, are memoised
+    for this call only, as (steps, rows) tails per (link, links left).  The
+    bottom chains (E to D) are cached per (E, D, ell), since every F of one
+    (D, P) shares them.
+
+    A point's values are laid out in canonical element order: the rows
+    below level 0 from the bottom chain, rows 0..ell from the top chain,
+    then the pair values.  The result is sorted lexicographically by value
+    vector.
     """
     k, ell = poset.k, poset.ell
     F, D, P = _validated_triple(k, ell, F, D, P)
+    f_rows, d_rows = F.padded(k + ell), D.padded(k)
+    tails: dict = {}
+
+    def top_tails(link: tuple, left: int):
+        """(steps, rows) of every way up from ``link`` to F in ``left`` strips."""
+        if not left:
+            return (((), ()),)
+        found = tails.get((link, left))
+        if found is None:
+            level = ell - left + 1
+            size, most = sum(link), P[level - 1]
+            found = tuple(
+                ((step,) + steps, nxt[:k + level] + rows)
+                for nxt in _next_links(link, f_rows, left - 1)
+                if (step := sum(nxt) - size) <= most
+                for steps, rows in top_tails(nxt, left - 1)
+            )
+            tails[link, left] = found
+        return found
+
+    point = ConePoint._trusted
     points = []
-    for e_rows in _middle_candidates(F, D, P, k):
-        tops = _chains_between(e_rows, F.rows, ell, None)
-        if not tops:
-            continue
-        lowers = [
-            (_steps(bottom), _flat_rows(bottom[:0:-1], (k,) * ell))
-            for bottom in _chains_between(e_rows, D.rows, ell, k)
-        ]
-        for top in tops:
-            a = _steps(top)
-            if any(x > p for x, p in zip(a, P)):
-                continue
-            upper = _flat_rows(top, range(k, k + ell + 1))
+    for e_rows in _middle_candidates(f_rows, d_rows, ell, sum(P)):
+        lowers = _bottom_chains(e_rows, d_rows, ell)
+        for a, rows in top_tails(e_rows + (0,) * ell, ell):
+            upper = e_rows + rows
             for b, lower in lowers:
                 q = tuple(p - x - y for p, x, y in zip(P, a, b))
-                if any(x < 0 for x in q):
-                    continue
-                points += [ConePoint(poset, lower + upper + c, validate=False)
-                           for c in _c_assignments(q, ell)]
+                if min(q) >= 0:
+                    head = lower + upper
+                    points += [point(poset, head + c) for c in _c_assignments(q, ell)]
     points.sort(key=lambda pt: pt.values)
     return points
 
 
-def _middle_candidates(F: YoungDiagram, D: YoungDiagram, P, k: int):
-    """Diagrams that can sit at level 0: inside both boundaries, close enough."""
-    total = sum(P)
-    for e in bounded_diagrams(tuple(min(F.row(i), D.row(i)) for i in range(k))):
-        if F.size - e.size <= total and D.size - e.size <= total:
-            yield e.rows
+def _middle_candidates(f_rows: tuple, d_rows: tuple, ell: int, total: int):
+    """Rows of every diagram E at level 0 that reaches both F and D in ell strips.
+
+    ``f_rows`` and ``d_rows`` are F and D padded to k + ell and k rows.  Row
+    i of E lies in ``max(F_{i+ell}, D_{i+ell}) .. min(F_i, D_i)``.  The two
+    chains add |F| - |E| + |D| - |E| boxes, at most ``total`` = |P|.
+    """
+    lows = map(max, f_rows[ell:], d_rows[ell:] + (0,) * ell)
+    highs = map(min, f_rows, d_rows)
+    least = (sum(f_rows) + sum(d_rows) - total + 1) // 2
+    for e_rows in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+        if sum(e_rows) >= least and all(map(ge, e_rows, e_rows[1:])):
+            yield e_rows
 
 
 def _validated_triple(k: int, ell: int, F, D, P):

@@ -8,10 +8,12 @@ are indexed by tensor-factor position.
 
 The counting routines here serve as the independent combinatorial side of
 the library's central cross-checks, so they are deliberately elementary:
-semistandard fillings are counted by direct backtracking, chains of
-diagrams by explicit horizontal-strip extension.  ``frontier_pass`` pushes
-a diagram through a sequence of such steps; the GL Pieri rule here and the
-orthogonal tables of :mod:`pieri.algebra` are both one pass of it.
+semistandard fillings are counted by direct backtracking, and the strip
+steps of the GL Pieri rule and of the Newell–Littlewood tables of
+:mod:`pieri.algebra` are explicit horizontal-strip extensions and
+removals.  ``frontier_pass`` pushes a diagram through a sequence of such
+steps; the GL rule here and the orthogonal tables are both one pass of it.
+The interlacing chains of a fiber are walked in :mod:`pieri.cone`, not here.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class IncreasingSet:
 
     def chi(self) -> ConePoint:
         """The indicator function; always a cone member."""
-        return ConePoint(self.poset, self.values, validate=False)
+        return ConePoint._trusted(self.poset, self.values)
 
     def union(self, other: "IncreasingSet") -> "IncreasingSet":
         self._check_same_poset(other)
@@ -187,7 +187,7 @@ class StandardExpression(NamedTuple):
     def reconstruct(self, poset: GammaPoset) -> ConePoint:
         total = zero_point(poset)
         for coeff, a_set in self.terms:
-            total = total + ConePoint(poset, tuple(coeff * v for v in a_set.values), validate=False)
+            total = total + ConePoint._trusted(poset, tuple(coeff * v for v in a_set.values))
         return total
 
 

@@ -1,13 +1,19 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pieri import cone
 from pieri.cone import (
     BlockKey,
     ConePoint,
     MultiDegree,
     _c_assignments,
+    _chains,
+    _next_links,
+    _reaches,
     count_c_assignments,
     enumerate_fiber,
     is_member,
@@ -15,7 +21,14 @@ from pieri.cone import (
     zero_point,
 )
 from pieri.algebra import decompose_o
-from pieri.diagrams import EMPTY, SkewShape, YoungDiagram, as_composition, kostka
+from pieri.diagrams import (
+    EMPTY,
+    SkewShape,
+    YoungDiagram,
+    as_composition,
+    bounded_diagrams,
+    kostka,
+)
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
@@ -290,6 +303,77 @@ def test_fiber_row_bound_errors():
         enumerate_fiber(p, EMPTY, YoungDiagram((1, 1)), (0,))
     with pytest.raises(ValueError):
         enumerate_fiber(p, YoungDiagram((1, 1, 1)), EMPTY, (0,))
+
+
+WIDTH = 3  # rows of every diagram the chain tests draw, zero padded
+
+
+def rows_inside(end):
+    """Every diagram inside ``end``, as zero-padded row tuples of its width."""
+    return [rows for rows in itertools.product(*(range(e + 1) for e in end))
+            if all(a >= b for a, b in zip(rows, rows[1:]))]
+
+
+def brute_chains(start, end, steps):
+    """Every chain start = c_0, ..., c_steps = end whose links lie inside end and interlace."""
+    if steps == 0:
+        return [(start,)] if start == end else []
+    return [(start,) + tail
+            for link in rows_inside(end) if interlaces(link, start)
+            for tail in brute_chains(link, end, steps - 1)]
+
+
+padded_rows = st.lists(st.integers(0, 3), max_size=WIDTH).map(
+    lambda parts: tuple(sorted(parts, reverse=True)) + (0,) * (WIDTH - len(parts)))
+
+
+@given(start=padded_rows, end=padded_rows, steps=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_chains_match_brute_force(start, end, steps):
+    got = list(_chains(start, end, steps))
+    want = brute_chains(start, end, steps)
+    assert len(got) == len(set(got))
+    assert set(got) == set(want)
+    assert _reaches(start, end, steps) == bool(want)
+
+
+@given(end=padded_rows, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_next_links_have_no_dead_ends(end, data):
+    # a link that reaches end in left + 1 strips steps to exactly the
+    # links that still reach end in left, and each of them starts a chain
+    link = data.draw(st.sampled_from(rows_inside(end)))
+    left = data.draw(st.integers(0, 3))
+    if not _reaches(link, end, left + 1):
+        assert brute_chains(link, end, left + 1) == []
+        return
+    links = list(_next_links(link, end, left))
+    assert len(links) == len(set(links))
+    assert set(links) == {chain[1] for chain in brute_chains(link, end, left + 1)}
+    for nxt in links:
+        assert interlaces(nxt, link)
+        assert brute_chains(nxt, end, left), (link, nxt, end, left)
+
+
+def test_module_caches_do_not_grow_with_f():
+    # every F of one (D, P) group: the module-level caches are bounded by
+    # counts that do not involve F, so a cache keyed by F shows up here
+    k, ell, D, P = 1, 4, (3,), (3, 2, 2, 1)
+    poset = GammaPoset(k, ell)
+    total = sum(D) + sum(P)
+    candidates = [f for f in bounded_diagrams((total,) * (k + ell))
+                  if f.size <= total and (total - f.size) % 2 == 0]
+    caches = {name: obj for name, obj in vars(cone).items() if hasattr(obj, "cache_info")}
+    assert set(caches) == {"_bottom_chains", "_c_assignments"}
+    for fn in caches.values():
+        fn.cache_clear()
+    points = sum(len(enumerate_fiber(poset, F, D, P)) for F in candidates)
+    assert (len(candidates), points) == (84, 4166)
+    # bottom chains: one entry per E inside D
+    assert caches["_bottom_chains"].cache_info().currsize <= len(list(bounded_diagrams(D)))
+    # pair assignments: one entry per (q, j) with q <= P[:j] entrywise
+    prefixes = sum(math.prod(p + 1 for p in P[:j]) for j in range(1, ell + 1))
+    assert caches["_c_assignments"].cache_info().currsize <= prefixes
 
 
 def test_non_integral_input_is_refused():

@@ -46,6 +46,16 @@ GOLDEN = [
      "3fe05ddad2be142451ada560d41404426995499bfd67bb8fcdb33e1f94302b61"),
     ("cone --k 2 --ell 1 --D 2 --P 2 --F 3,1 --list",
      "c88955495ad9638302e29b22fb7b0794b662c062688f49d3c84ff8138b126f7d"),
+    ("cone --k 1 --ell 4 --D 3 --P 3,2,2,1 --F 5,2,1,1 --list",
+     "b4199d3cc301d5182f4835894897e77a9e47a7f4291656f93d13171e6e88180e"),
+    ("cone --k 2 --ell 3 --D 2,1 --P 2,2,1 --F 3,1 --list",
+     "060d093a8d512d9b80d59cec7b8034e2afe12622678b2a76cba843b2e078e1c4"),
+    ("cone --k 2 --ell 4 --D 2 --P 2,1,1,1 --F 2,1 --list",
+     "969058acbce02b5b6aabcd575bbf440d2e2fea3ae67d164090bafd5ae245eba6"),
+    ("mult --k 2 --ell 2 --D 2,1 --P 2,1 --F 3,2,1 --verify --json",
+     "f073644e73bc3543a3f0e50f1f64b07010effa01c90820f122894ebecc890113"),
+    ("verify --suite oracle --k 2 --ell 2 --json",
+     "daf148235d9362122c48b42c93bba1b0c905c9318cb6327b2018738cf0bff851"),
     ("verify --suite all --k 2 --ell 1 --json",
      "91923748752bd6635c788b2e4a87110779be53f073d4fb627bc62c68f55ded77"),
     ("eta --k 1 --ell 1 --n 5 --c 0 --I 1 --J 1 --json",
