@@ -31,12 +31,13 @@ from .diagrams import (
     EMPTY,
     SkewShape,
     YoungDiagram,
+    _added_strips,
     _compositions,
+    _interned,
+    _removed_strips,
     bounded_diagrams,
     frontier_pass,
-    horizontal_strips,
     kostka,
-    removed_strips,
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import GammaPoset, eps_pairs
@@ -313,18 +314,19 @@ def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagr
 
 
 @cache
-def _newell_littlewood_step(g: YoungDiagram, p: int, max_rows: int) -> tuple[YoungDiagram, ...]:
-    """The diagrams one factor σ^(p) reaches from σ^g, once per way.
+def _newell_littlewood_step(g: tuple, p: int, max_rows: int) -> tuple[tuple[tuple, int], ...]:
+    """``(rows, ways)`` for every diagram one factor σ^(p) reaches from σ^g.
 
-    Each way removes a horizontal strip of size a from ``g``, then adds one
-    of size p - a with at most ``max_rows`` rows.
+    Each way removes a horizontal strip of size a from the rows ``g``, then
+    adds one of size p - a with at most ``max_rows`` rows.  The pairs come
+    in the order their diagrams are first reached.
     """
-    return tuple(
-        f
-        for a in range(p + 1)
-        for h in removed_strips(g, a)
-        for f in horizontal_strips(h, p - a, max_rows=max_rows)
-    )
+    ways: dict[tuple, int] = {}
+    for a in range(p + 1):
+        for h in _removed_strips(g, a):
+            for f in _added_strips(h, p - a, max_rows):
+                ways[f] = ways.get(f, 0) + 1
+    return tuple(_interned((_interned(f), w)) for f, w in ways.items())
 
 
 def decompose_sp(k: int, ell: int, D, P, n: int) -> dict[YoungDiagram, int]:

@@ -318,6 +318,7 @@ def _middle_candidates(f_rows: tuple, d_rows: tuple, ell: int, total: int):
 
 def _validated_triple(k: int, ell: int, F, D, P):
     """Check (k, ell) and coerce the multidegree (F, D, P) to fit them."""
+    _int_tuple((k, ell))  # raises ValueError for a non-integral k or ell
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and ell >= 1, got ({k}, {ell})")
     if not isinstance(F, YoungDiagram):

@@ -14,6 +14,16 @@ steps of the GL Pieri rule and of the Newell–Littlewood tables of
 removals.  ``frontier_pass`` pushes a diagram through a sequence of such
 steps; the GL rule here and the orthogonal tables are both one pass of it.
 The interlacing chains of a fiber are walked in :mod:`pieri.cone`, not here.
+
+Tables run on canonical row tuples, not on diagrams.  The strip kernels
+``_added_strips`` and ``_removed_strips`` take and yield row tuples, and a
+step gives ``(rows, ways)`` pairs.  Both table steps, the GL one here and
+the orthogonal one in :mod:`pieri.algebra`, are cached per (rows, step
+size, row cap) and keep each distinct row tuple and each distinct pair
+once through ``_interned``.  ``frontier_pass`` wraps the row tuples it ends with in
+diagrams through ``YoungDiagram._trusted``, which skips the validation
+that ``YoungDiagram(...)`` does; ``horizontal_strips`` and
+``removed_strips`` wrap each strip the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +56,13 @@ class YoungDiagram:
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise ValueError(f"row lengths must weakly decrease: {rows}")
         self.rows = rows
+
+    @classmethod
+    def _trusted(cls, rows: tuple[int, ...]) -> "YoungDiagram":
+        """A diagram from rows already canonical (positive, weakly decreasing ints), kept as is."""
+        diagram = object.__new__(cls)
+        diagram.rows = rows
+        return diagram
 
     @property
     def size(self) -> int:
@@ -197,26 +214,79 @@ def kostka(shape: SkewShape, content) -> int:
     return _kostka(shape.outer.rows, shape.inner.rows, content)
 
 
+def _strip_rows(base: tuple, caps: tuple, size: int, sign: int):
+    """Rows ``base_j + sign * t_j`` for every ``0 <= t_j <= caps_j`` with sum ``size``.
+
+    The t are taken lexicographically, and a zero last row is trimmed.  Each
+    t_j is bounded below by what the later rows cannot hold, so no branch is
+    a dead end.
+    """
+    depth = len(caps)
+    if depth == 0:
+        if size == 0:
+            yield ()
+        return
+    room = [0] * depth  # room[j]: boxes rows j+1.. can take
+    for j in range(depth - 2, -1, -1):
+        room[j] = room[j + 1] + caps[j + 1]
+    last = depth - 1
+    values = list(base)
+
+    def rec(j, rem):
+        if j == last:
+            values[j] = base[j] + sign * rem
+            yield tuple(values) if values[j] else tuple(values[:last])
+            return
+        for t in range(max(0, rem - room[j]), min(caps[j], rem) + 1):
+            values[j] = base[j] + sign * t
+            yield from rec(j + 1, rem - t)
+
+    if size <= room[0] + caps[0]:
+        yield from rec(0, size)
+
+
+def _added_strips(rows: tuple, size: int, max_rows: int | None = None):
+    """Row tuples of every diagram interlacing ``rows`` from above, ``size`` boxes more.
+
+    ``rows`` is canonical.  Row j of such a diagram lies in ``rows_j ..
+    rows_{j-1}`` (row 0 has no upper bound), and it has at most ``max_rows``
+    rows (None: no cap).  The results are canonical and in lexicographic
+    order.
+    """
+    depth = len(rows) + 1 if max_rows is None else min(len(rows) + 1, max_rows)
+    if len(rows) > depth:
+        return
+    base = rows + (0,) * (depth - len(rows))
+    # row 0 may take every box, row j the amount row j - 1 is longer; no rows when max_rows is 0
+    caps = ((size,) + tuple(a - b for a, b in zip(rows, base[1:])))[:depth]
+    yield from _strip_rows(base, caps, size, 1)
+
+
+def _removed_strips(rows: tuple, size: int):
+    """Row tuples of every G inside ``rows`` with ``rows / G`` a horizontal strip of ``size`` boxes.
+
+    That is ``rows_{j+1} <= g_j <= rows_j`` for every row.  ``rows`` is
+    canonical; the results are canonical and in reverse lexicographic order.
+    """
+    caps = tuple(a - b for a, b in zip(rows, rows[1:] + (0,)))
+    yield from _strip_rows(rows, caps, size, -1)
+
+
+_INTERNED: dict[tuple, tuple] = {}
+
+
+def _interned(key: tuple) -> tuple:
+    """The one stored copy of a row tuple or a ``(rows, ways)`` pair.
+
+    The step caches keep each of these once, however many steps reach it.
+    Like those caches, the table grows for the life of the process.
+    """
+    return _INTERNED.setdefault(key, key)
+
+
 def horizontal_strips(d: YoungDiagram, size: int, max_rows: int | None = None):
     """All diagrams interlacing ``d`` from above with ``size`` added boxes."""
-    rows = d.rows
-    if max_rows is not None and len(rows) > max_rows:
-        return
-    nrows = len(rows) + 1 if max_rows is None else min(len(rows) + 1, max_rows)
-
-    def rec(j, rem, built):
-        if j == nrows:
-            if rem == 0:
-                yield YoungDiagram(built)
-            return
-        lo = rows[j] if j < len(rows) else 0
-        hi = lo + rem
-        if j > 0:
-            hi = min(hi, rows[j - 1])
-        for v in range(lo, hi + 1):
-            yield from rec(j + 1, rem - (v - lo), built + (v,))
-
-    yield from rec(0, size, ())
+    return map(YoungDiagram._trusted, _added_strips(d.rows, size, max_rows))
 
 
 def removed_strips(d: YoungDiagram, size: int):
@@ -225,36 +295,25 @@ def removed_strips(d: YoungDiagram, size: int):
     These are the G inside ``d`` with ``d/G`` a horizontal strip:
     ``d_{i+1} <= g_i <= d_i`` for every row.
     """
-    rows = d.rows
-
-    def rec(j, rem, built):
-        if j == len(rows):
-            if rem == 0:
-                yield YoungDiagram(built)
-            return
-        hi = rows[j]
-        lo = max(rows[j + 1] if j + 1 < len(rows) else 0, hi - rem)
-        for v in range(hi, lo - 1, -1):
-            yield from rec(j + 1, rem - (hi - v), built + (v,))
-
-    yield from rec(0, size, ())
+    return map(YoungDiagram._trusted, _removed_strips(d.rows, size))
 
 
 def frontier_pass(start: YoungDiagram, steps, successors) -> dict[YoungDiagram, int]:
     """Push ``{start: 1}`` through one step per entry of ``steps``.
 
-    ``successors(diagram, step)`` yields the diagrams one step reaches, once
-    per way of reaching them; the result maps each diagram at the end to
-    the number of paths that lead there.
+    The frontier holds row tuples.  ``successors(rows, step)`` gives
+    ``(rows, ways)`` pairs: each row tuple one step reaches, with the number
+    of ways it does.  The result maps each diagram at the end to the number
+    of paths that lead there.
     """
-    frontier = {start: 1}
+    frontier = {start.rows: 1}
     for step in steps:
-        nxt: dict[YoungDiagram, int] = {}
-        for diag, mult in frontier.items():
-            for succ in successors(diag, step):
-                nxt[succ] = nxt.get(succ, 0) + mult
+        nxt: dict[tuple, int] = {}
+        for rows, mult in frontier.items():
+            for succ, ways in successors(rows, step):
+                nxt[succ] = nxt.get(succ, 0) + mult * ways
         frontier = nxt
-    return frontier
+    return {YoungDiagram._trusted(rows): mult for rows, mult in frontier.items()}
 
 
 def bounded_diagrams(bound: tuple[int, ...]):
@@ -291,9 +350,10 @@ def _compositions(total: int, caps: tuple[int, ...]):
 
 
 def check_gl_rank(d: YoungDiagram, n: int | None) -> None:
-    """Refuse a missing GL_n rank, one below 1, or a diagram ``d`` with more than n rows."""
+    """Refuse a missing GL_n rank, a non-integral one, one below 1, or a diagram ``d`` with more than n rows."""
     if n is None:
         raise ValueError("group gl requires the rank n")
+    _int_tuple((n,))  # raises ValueError for a non-integral rank
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if len(d) > n:
@@ -311,7 +371,13 @@ def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
     check_gl_rank(d, n)
-    return frontier_pass(d, p, lambda diag, step: horizontal_strips(diag, step, max_rows=n))
+    return frontier_pass(d, p, lambda rows, step: _gl_step(rows, step, n))
+
+
+@cache
+def _gl_step(rows: tuple, p: int, n: int) -> tuple[tuple[tuple, int], ...]:
+    """``(rows, 1)`` for every diagram with at most ``n`` rows that one factor of size ``p`` reaches."""
+    return tuple(_interned((_interned(f), 1)) for f in _added_strips(rows, p, n))
 
 
 def gl_dim(d: YoungDiagram, n: int) -> int:

@@ -6,7 +6,7 @@ isolated pair nodes (one per 1 <= s < t <= ell).  Order-preserving
 nonnegative functions on it are exactly the patterns whose rows, read from
 level 0 outward, grow by horizontal strips in both directions.
 
-Generating relations (transitively closed at build time):
+Generating relations (transitively closed on the first ``leq`` or ``up_set``):
 
 * row(s+1, j) >= row(s, j)   and  row(s, j) >= row(s+1, j+1)   for s >= 0,
 * row(-s-1, j) >= row(-s, j) and  row(-s, j) >= row(-s-1, j+1) for s >= 0,
@@ -16,6 +16,7 @@ Generating relations (transitively closed at build time):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class GammaPoset:
 
     Elements are listed canonically: rows from level -ell up to +ell, left
     to right within a row, then the pair nodes in t-major order.  The order
-    relation is stored densely; two posets compare equal iff they share
-    (k, ell).
+    relation is stored densely, built on the first ``leq`` or ``up_set``;
+    two posets compare equal iff they share (k, ell).
     """
 
     def __init__(self, k: int, ell: int):
@@ -97,7 +98,10 @@ class GammaPoset:
             (a, b) for b, ups in enumerate(self._up_generators) for a in ups
         )
 
-        # reflexive-transitive closure via DFS from every node
+    @cached_property
+    def _leq(self) -> list[list[bool]]:
+        """The reflexive-transitive closure, by DFS from every node, built on first use."""
+        n = len(self.elements)
         leq = [[False] * n for _ in range(n)]
         for start in range(n):
             stack = [start]
@@ -108,7 +112,7 @@ class GammaPoset:
                     continue
                 seen[v] = True
                 stack.extend(self._up_generators[v])
-        self._leq = leq
+        return leq
 
     def row_length(self, level: int) -> int:
         if not -self.ell <= level <= self.ell:

@@ -20,13 +20,14 @@ from pieri.cone import (
     s_of_abc,
     zero_point,
 )
-from pieri.algebra import decompose_o
+from pieri.algebra import decompose_o, multiplicity
 from pieri.diagrams import (
     EMPTY,
     SkewShape,
     YoungDiagram,
     as_composition,
     bounded_diagrams,
+    gl_iterated_pieri,
     kostka,
 )
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
@@ -391,3 +392,13 @@ def test_non_integral_input_is_refused():
         ConePoint(p, dict.fromkeys(p.elements, 0.5))
     # bools and ints are integers
     assert YoungDiagram((True, 1)) == YoungDiagram((1, 1))
+
+
+def test_non_integral_rank_is_refused():
+    # the table kernels size tuples by these values, so 2.0 must not get that far
+    with pytest.raises(ValueError, match="expected integers"):
+        gl_iterated_pieri((2, 1), (1,), 4.0)
+    with pytest.raises(ValueError, match="expected integers"):
+        decompose_o(2.0, 1, (1,), (1,))
+    with pytest.raises(ValueError, match="expected integers"):
+        multiplicity(1, 1.5, (1,), (), (1,))

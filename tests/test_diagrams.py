@@ -4,10 +4,14 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pieri.algebra import _newell_littlewood_step
 from pieri.diagrams import (
     EMPTY,
     SkewShape,
     YoungDiagram,
+    _added_strips,
+    _gl_step,
+    _removed_strips,
     as_composition,
     frontier_pass,
     gl_dim,
@@ -262,13 +266,56 @@ def test_strip_removal_examples():
 
 def test_frontier_pass_counts_paths():
     # two unit steps from the empty diagram: (2) and (1, 1) one way each
-    table = frontier_pass(EMPTY, (1, 1), horizontal_strips)
+    table = frontier_pass(EMPTY, (1, 1), lambda rows, p: ((f, 1) for f in _added_strips(rows, p)))
     assert table == {YoungDiagram((2,)): 1, YoungDiagram((1, 1)): 1}
-    # a successor yielded twice counts twice
-    assert frontier_pass(EMPTY, (0, 0), lambda g, p: [g, g]) == {EMPTY: 4}
+    # a successor counted twice counts twice, as one pair of weight 2 or as two pairs
+    assert frontier_pass(EMPTY, (0, 0), lambda rows, p: [(rows, 2)]) == {EMPTY: 4}
+    assert frontier_pass(EMPTY, (0, 0), lambda rows, p: [(rows, 1), (rows, 1)]) == {EMPTY: 4}
 
 
 def test_strip_row_cap():
     assert list(horizontal_strips(YoungDiagram((2, 1, 1)), 1, max_rows=2)) == []
     only = [f.rows for f in horizontal_strips(YoungDiagram((1,)), 1, max_rows=1)]
     assert only == [(2,)]
+
+
+def diagrams_inside(bound):
+    """Independent oracle: every diagram whose row j is at most ``bound[j]``, as trimmed rows."""
+    for rows in itertools.product(*(range(b + 1) for b in bound)):
+        if all(a >= b for a, b in zip(rows, rows[1:])):
+            yield tuple(r for r in rows if r)
+
+
+@given(d=diagram_strategy(max_size=4, max_rows=3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_kernels_match_brute_force(d, data):
+    rows = d.rows
+    size = data.draw(st.integers(min_value=0, max_value=3))
+    cap = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+    depth = len(rows) + 1 if cap is None else cap
+    up = list(_added_strips(rows, size, cap))
+    want_up = [f for f in diagrams_inside((d.size + size,) * depth)
+               if sum(f) == d.size + size and interlaces(f, rows)]
+    assert up == sorted(want_up)
+    down = list(_removed_strips(rows, size))
+    want_down = [g for g in diagrams_inside(rows) if sum(g) == d.size - size and interlaces(rows, g)]
+    assert down == sorted(want_down, reverse=True)
+    for out in (up, down):
+        assert len(out) == len(set(out))
+        assert all(f == YoungDiagram(f).rows for f in out)
+
+
+def test_gl_iterated_pieri_ignores_factor_order():
+    for d_rows, p, n in [((2, 1), (2, 1, 1, 0), 3), ((1,), (3, 2, 1), 2), ((), (2, 2, 1), 4)]:
+        tables = [gl_iterated_pieri(YoungDiagram(d_rows), q, n) for q in itertools.permutations(p)]
+        assert all(t == tables[0] for t in tables), (d_rows, p, n)
+
+
+def test_step_caches_share_row_tuples():
+    stored = {}
+    for pairs in (_gl_step((2, 1), 1, 3), _gl_step((2,), 2, 3),
+                  _newell_littlewood_step((2,), 2, 3), _newell_littlewood_step((2, 1), 1, 3)):
+        for pair in pairs:
+            assert stored.setdefault(pair, pair) is pair
+            assert stored.setdefault(pair[0], pair[0]) is pair[0]
+    assert (3, 1) in stored and (2, 1, 1) in stored

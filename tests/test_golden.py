@@ -38,6 +38,10 @@ GOLDEN = [
      "be5c393345d2c474de582e7122ac3ce4a6dd190c889dd0e1d67c2e45e4510a14"),
     ("decompose --group gl --n 3 --D 2,1 --P 1,1 --json",
      "b0ce8fc82cbf393d8110c88beef59209855e9791b427b86b2e6be61c77a2bc15"),
+    ("decompose --group gl --n 4 --D 2,1,1 --P 3,2,2,1,1 --json",
+     "c6540a2e7c99714d1fb4762412ad5a712dd1fb3a0b5d093e50dce199bb3e06f4"),
+    ("decompose --group gl --n 2 --D 2,1 --P 2,2,1 --json",
+     "cbe2db0d3fe08c60e5218521fe2226f1e43a98342fbdf51e70dc6a68111b2c46"),
     ("decompose --group o --k 3 --ell 3 --D 3,2,1 --P 3,3,3 --json",
      "b268cc56d9f2d6dfbdf9609442c9679d4f6488969cf2261ebba955a1fd21c2c5"),
     ("decompose --group o --k 1 --ell 4 --D 3 --P 3,2,2,1 --json",
@@ -54,6 +58,10 @@ GOLDEN = [
      "969058acbce02b5b6aabcd575bbf440d2e2fea3ae67d164090bafd5ae245eba6"),
     ("mult --k 2 --ell 2 --D 2,1 --P 2,1 --F 3,2,1 --verify --json",
      "f073644e73bc3543a3f0e50f1f64b07010effa01c90820f122894ebecc890113"),
+    ("mult --group gl --n 4 --D 2,1 --P 2,1,1 --F 3,2,1 --verify --json",
+     "aa4a722cc593d1c8f1ebb4072108d686f6882634bfbc4073045e7fa4b12955bb"),
+    ("mult --group gl --n 4 --D 2,1 --P 2,1,1 --F 3,2,1,1 --verify --json",
+     "d966c97c64c757d8c9597b3801bcbba9d8af82e354edae617bdfed121005ac9a"),
     ("verify --suite oracle --k 2 --ell 2 --json",
      "daf148235d9362122c48b42c93bba1b0c905c9318cb6327b2018738cf0bff851"),
     ("verify --suite all --k 2 --ell 1 --json",

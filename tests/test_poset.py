@@ -73,6 +73,13 @@ def test_leq_examples():
     assert q.leq(e, e)
 
 
+def test_closure_built_on_first_use():
+    p = GammaPoset(2, 2)
+    assert "_leq" not in vars(p)
+    assert p.up_set(Eps(1, 2)) == (Eps(1, 2),)
+    assert "_leq" in vars(p)
+
+
 def test_leq_unknown_element():
     p = GammaPoset(1, 1)
     with pytest.raises(ValueError):
