@@ -36,7 +36,7 @@ from .diagrams import (
     _interned,
     _removed_strips,
     bounded_diagrams,
-    frontier_pass,
+    frontier_rows,
     kostka,
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
@@ -309,8 +309,9 @@ def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagr
     """
     _, D, P = _validated_triple(k, ell, EMPTY, D, P)
     check_rank("o", k, ell, n)
-    table = frontier_pass(D, P, lambda g, p: _newell_littlewood_step(g, p, k + ell))
-    return {f: table[f] for f in sorted(table, key=lambda f: (f.size, [-r for r in f.rows]))}
+    table = frontier_rows(D.rows, P, lambda g, p: _newell_littlewood_step(g, p, k + ell))
+    ordered = sorted(table.items(), key=lambda fm: (sum(fm[0]), [-r for r in fm[0]]))
+    return {YoungDiagram._trusted(rows): m for rows, m in ordered}
 
 
 @cache

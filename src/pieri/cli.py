@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import (
     PieriContext,
@@ -247,8 +248,9 @@ def cmd_lattice(args) -> int:
                 s.Z, key=lambda e: (e.t, e.s)))
         return body
 
-    nodes = [label(s) for s in increasing_sets(poset)]
-    edges = [(label(lower), label(upper)) for upper, lower in lattice_hasse(poset)]
+    labels = {s.values: label(s) for s in increasing_sets(poset)}
+    nodes = list(labels.values())
+    edges = [(labels[lower.values], labels[upper.values]) for upper, lower in lattice_hasse(poset)]
     return _emit_graph(args, "lattice", {"k": k, "ell": ell}, nodes, edges)
 
 
@@ -332,7 +334,9 @@ def _default_len(text: str | None) -> int:
     return len(text.split(",")) if text else 1
 
 
+@cache
 def build_parser() -> Parser:
+    """The argument parser, built once per process; ``parse_args`` keeps no state in it."""
     parser = Parser(prog="pieri", description=__doc__,
                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

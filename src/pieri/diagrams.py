@@ -22,8 +22,8 @@ the orthogonal one in :mod:`pieri.algebra`, are cached per (rows, step
 size, row cap) and keep each distinct row tuple and each distinct pair
 once through ``_interned``.  ``frontier_pass`` wraps the row tuples it ends with in
 diagrams through ``YoungDiagram._trusted``, which skips the validation
-that ``YoungDiagram(...)`` does; ``horizontal_strips`` and
-``removed_strips`` wrap each strip the same way.
+that ``YoungDiagram(...)`` does; ``frontier_rows`` is the same pass
+without the wrapping, for a caller that orders the rows first.
 """
 
 from __future__ import annotations
@@ -284,36 +284,28 @@ def _interned(key: tuple) -> tuple:
     return _INTERNED.setdefault(key, key)
 
 
-def horizontal_strips(d: YoungDiagram, size: int, max_rows: int | None = None):
-    """All diagrams interlacing ``d`` from above with ``size`` added boxes."""
-    return map(YoungDiagram._trusted, _added_strips(d.rows, size, max_rows))
-
-
-def removed_strips(d: YoungDiagram, size: int):
-    """All diagrams interlacing ``d`` from below with ``size`` boxes removed.
-
-    These are the G inside ``d`` with ``d/G`` a horizontal strip:
-    ``d_{i+1} <= g_i <= d_i`` for every row.
-    """
-    return map(YoungDiagram._trusted, _removed_strips(d.rows, size))
-
-
 def frontier_pass(start: YoungDiagram, steps, successors) -> dict[YoungDiagram, int]:
+    """``frontier_rows`` from ``start``, with each row tuple at the end wrapped in a diagram."""
+    table = frontier_rows(start.rows, steps, successors)
+    return {YoungDiagram._trusted(rows): mult for rows, mult in table.items()}
+
+
+def frontier_rows(start: tuple, steps, successors) -> dict[tuple, int]:
     """Push ``{start: 1}`` through one step per entry of ``steps``.
 
     The frontier holds row tuples.  ``successors(rows, step)`` gives
     ``(rows, ways)`` pairs: each row tuple one step reaches, with the number
-    of ways it does.  The result maps each diagram at the end to the number
-    of paths that lead there.
+    of ways it does.  The result maps each row tuple at the end to the
+    number of paths that lead there.
     """
-    frontier = {start.rows: 1}
+    frontier = {start: 1}
     for step in steps:
         nxt: dict[tuple, int] = {}
         for rows, mult in frontier.items():
             for succ, ways in successors(rows, step):
                 nxt[succ] = nxt.get(succ, 0) + mult * ways
         frontier = nxt
-    return {YoungDiagram._trusted(rows): mult for rows, mult in frontier.items()}
+    return frontier
 
 
 def bounded_diagrams(bound: tuple[int, ...]):

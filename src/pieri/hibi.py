@@ -26,7 +26,9 @@ class IncreasingSet:
     ``values`` is the indicator in canonical element order (what ``chi()``
     returns), and sets compare by it.  ``IncreasingSet(poset, members)``
     checks the indicator with the cone's membership test (ValueError
-    unless upward closed) and reads the key off its row counts.
+    unless upward closed) and reads the key off its row counts: c is the
+    middle count, and I and J are the steps at which the count grows going
+    outward.
     """
 
     __slots__ = ("poset", "values", "c", "I", "J", "Z", "_profile")
@@ -35,7 +37,18 @@ class IncreasingSet:
         values = [0] * len(poset)
         for el in members:
             values[poset.index(el)] = 1
-        _store_indicator(self, poset, tuple(values))
+        values = tuple(values)
+        if not _order_preserving(poset, values):
+            raise _not_upward_closed(poset, values)
+        ell = poset.ell
+        counts = tuple(sum(values[poset.row_slice(level)]) for level in range(-ell, ell + 1))
+        self.poset, self.values, self._profile = poset, values, counts
+        self.c = counts[ell]
+        self.I = frozenset(s for s in range(1, ell + 1) if counts[ell - s] > counts[ell - s + 1])
+        self.J = frozenset(s for s in range(1, ell + 1) if counts[ell + s] > counts[ell + s - 1])
+        self.Z = frozenset(
+            el for el, v in zip(poset.eps_elements, values[poset.eps_slice]) if v
+        )
 
     @property
     def members(self) -> frozenset:
@@ -55,11 +68,11 @@ class IncreasingSet:
 
     def union(self, other: "IncreasingSet") -> "IncreasingSet":
         self._check_same_poset(other)
-        return _indicator_set(self.poset, tuple(map(max, self.values, other.values)))
+        return _lookup(self.poset, tuple(map(max, self.values, other.values)))
 
     def intersect(self, other: "IncreasingSet") -> "IncreasingSet":
         self._check_same_poset(other)
-        return _indicator_set(self.poset, tuple(map(min, self.values, other.values)))
+        return _lookup(self.poset, tuple(map(min, self.values, other.values)))
 
     __or__ = union
     __and__ = intersect
@@ -96,30 +109,9 @@ class IncreasingSet:
         )
 
 
-def _store_indicator(a_set: IncreasingSet, poset: GammaPoset, values: tuple) -> IncreasingSet:
-    """Fill ``a_set`` from a 0/1 indicator, which must be upward closed.
-
-    The key is read off the row counts: c is the middle count, and I and J
-    are the steps at which the count grows going outward.
-    """
-    if not _order_preserving(poset, values):
-        members = {el for el, v in zip(poset.elements, values) if v}
-        raise ValueError(f"{members} is not upward closed")
-    ell = poset.ell
-    counts = tuple(sum(values[poset.row_slice(level)]) for level in range(-ell, ell + 1))
-    a_set.poset, a_set.values, a_set._profile = poset, values, counts
-    a_set.c = counts[ell]
-    a_set.I = frozenset(s for s in range(1, ell + 1) if counts[ell - s] > counts[ell - s + 1])
-    a_set.J = frozenset(s for s in range(1, ell + 1) if counts[ell + s] > counts[ell + s - 1])
-    a_set.Z = frozenset(
-        el for el, v in zip(poset.eps_elements, values[poset.eps_slice]) if v
-    )
-    return a_set
-
-
-def _indicator_set(poset: GammaPoset, values: tuple) -> IncreasingSet:
-    """The increasing set with the given 0/1 indicator, checked as above."""
-    return _store_indicator(object.__new__(IncreasingSet), poset, values)
+def _not_upward_closed(poset: GammaPoset, values: tuple) -> ValueError:
+    members = {el for el, v in zip(poset.elements, values) if v}
+    return ValueError(f"{members} is not upward closed")
 
 
 def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
@@ -145,6 +137,12 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     for el in Z:
         if not isinstance(el, Eps) or el not in poset:
             raise ValueError(f"{el!r} is not a pair node of {poset!r}")
+    return _from_key(poset, c, I, J, Z)
+
+
+def _from_key(poset: GammaPoset, c: int, I: frozenset, J: frozenset, Z: frozenset) -> IncreasingSet:
+    """The increasing set of a valid key, keeping the given frozensets."""
+    ell = poset.ell
     counts = [c] * (2 * ell + 1)  # row counts by level + ell
     for s in range(1, ell + 1):
         counts[ell - s] = counts[ell - s + 1] + (s in I)
@@ -163,20 +161,43 @@ def increasing_sets(poset: GammaPoset) -> list[IncreasingSet]:
     """The whole lattice, in (c, I, J, Z) generation order.
 
     Duplicate-free: the key fixes the row counts through the recurrences
-    and Z the pair nodes, so distinct keys give distinct member sets.
+    and Z the pair nodes, so distinct keys give distinct member sets.  Each
+    call returns a new list of the same sets, built once per poset.
     """
-    k, ell = poset.k, poset.ell
-    levels = range(1, ell + 1)
-    return [
-        from_cijz(poset, c, I, J, Z)
-        for c in range(k + 1)
-        for u in range(k - c + 1)
-        for I in combinations(levels, u)
-        for v in range(ell + 1)
-        for J in combinations(levels, v)
-        for w in range(len(poset.eps_elements) + 1)
-        for Z in combinations(poset.eps_elements, w)
-    ]
+    return list(_index(poset).values())
+
+
+def _index(poset: GammaPoset) -> dict[tuple, IncreasingSet]:
+    """``{values: set}`` over the lattice, in generation order, kept on the poset.
+
+    Unions, intersections, level sets and the Hasse diagram look sets up here.
+    """
+    if poset._increasing_sets is None:
+        k = poset.k
+        # the sets share one frozenset per distinct I, J or Z
+        steps, pairs = _subsets(range(1, poset.ell + 1)), _subsets(poset.eps_elements)
+        sets = (
+            _from_key(poset, c, I, J, Z)
+            for c in range(k + 1)
+            for I in steps if len(I) <= k - c
+            for J in steps
+            for Z in pairs
+        )
+        poset._increasing_sets = {a_set.values: a_set for a_set in sets}
+    return poset._increasing_sets
+
+
+def _subsets(items) -> list[frozenset]:
+    """Every subset of ``items``, by size, and within a size in combinations order."""
+    return [frozenset(sub) for size in range(len(items) + 1) for sub in combinations(items, size)]
+
+
+def _lookup(poset: GammaPoset, values: tuple) -> IncreasingSet:
+    """The lattice's set with this indicator; the lattice holds every up-set, so a miss is not one."""
+    try:
+        return _index(poset)[values]
+    except KeyError:
+        raise _not_upward_closed(poset, values) from None
 
 
 class StandardExpression(NamedTuple):
@@ -208,7 +229,7 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
     prev = 0
     for v in levels:
         indicator = tuple(1 if x >= v else 0 for x in f.values)
-        terms.append((v - prev, _indicator_set(poset, indicator)))
+        terms.append((v - prev, _lookup(poset, indicator)))
         prev = v
     terms.reverse()
     return StandardExpression(tuple(terms))
@@ -219,10 +240,12 @@ def lattice_hasse(poset: GammaPoset) -> list[tuple[IncreasingSet, IncreasingSet]
 
     In a lattice of up-sets the covers are exactly the single-element
     removals that leave an up-set (Birkhoff).  Uppers and, under each, the
-    lowers follow generation order.
+    lowers follow generation order.  The pairs hold the sets of
+    ``increasing_sets(poset)`` themselves.
     """
-    sets = increasing_sets(poset)
-    order = {s.values: i for i, s in enumerate(sets)}
+    index = _index(poset)
+    sets = list(index.values())
+    order = {values: i for i, values in enumerate(index)}
     edges = []
     for upper in sets:
         values = upper.values

@@ -52,7 +52,8 @@ class GammaPoset:
     Elements are listed canonically: rows from level -ell up to +ell, left
     to right within a row, then the pair nodes in t-major order.  The order
     relation is stored densely, built on the first ``leq`` or ``up_set``;
-    two posets compare equal iff they share (k, ell).
+    two posets compare equal iff they share (k, ell).  ``pieri.hibi`` keeps
+    its lattice on the instance too.  A copy or a pickle carries only (k, ell).
     """
 
     def __init__(self, k: int, ell: int):
@@ -97,6 +98,8 @@ class GammaPoset:
         self.relation_index_pairs = tuple(
             (a, b) for b, ups in enumerate(self._up_generators) for a in ups
         )
+        # {indicator values: IncreasingSet}, filled by pieri.hibi on first use
+        self._increasing_sets = None
 
     @cached_property
     def _leq(self) -> list[list[bool]]:
@@ -160,6 +163,9 @@ class GammaPoset:
             (self.elements[a], self.elements[b])
             for a, b in sorted(self.relation_index_pairs)
         ]
+
+    def __reduce__(self):
+        return GammaPoset, (self.k, self.ell)
 
     def __eq__(self, other):
         if not isinstance(other, GammaPoset):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import add
 
 from .algebra import (
     PieriContext,
@@ -118,15 +119,19 @@ def suite_hibi(k: int, ell: int, n: int | None = None) -> SuiteResult:
             f"increasing-set family has {len(family)} members, "
             f"exhaustive enumeration found {len(brute)}"
         )
+    indicators = {s.values for s in sets}
     for a, b in itertools.combinations_with_replacement(sets, 2):
         res.checked += 1
-        lhs = tuple(x + y for x, y in zip(a.chi().values, b.chi().values))
-        rhs = tuple(
-            x + y for x, y in zip((a | b).chi().values, (a & b).chi().values)
-        )
+        try:
+            join, meet = a | b, a & b
+        except ValueError:  # the lattice index lacks the union or the intersection
+            res.failures.append(f"lattice not closed for {a!r}, {b!r}")
+            continue
+        lhs = tuple(map(add, a.chi().values, b.chi().values))
+        rhs = tuple(map(add, join.chi().values, meet.chi().values))
         if lhs != rhs:
             res.failures.append(f"indicator identity fails for {a!r}, {b!r}")
-        if (a | b).members not in family or (a & b).members not in family:
+        if join.values not in indicators or meet.values not in indicators:
             res.failures.append(f"lattice not closed for {a!r}, {b!r}")
     return res
 

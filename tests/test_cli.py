@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pieri
-from pieri.cli import main
+from pieri.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -298,14 +298,37 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["result"]["multiplicity"] == 1
 
 
-def test_module_invocation_subprocess():
+def run_fresh(*argv):
+    """``pieri`` in a new process, whose parser has parsed nothing before."""
     # the child imports the same pieri as this process, installed or not
     src = str(Path(pieri.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pieri.cli", "mult", "--group", "o",
-         "--k", "1", "--ell", "1", "--D", "1", "--P", "1", "--F", "2"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "1"
+    proc = subprocess.run([sys.executable, "-m", "pieri.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_invocation_subprocess():
+    code, out, _ = run_fresh("mult", "--group", "o", "--k", "1", "--ell", "1",
+                             "--D", "1", "--P", "1", "--F", "2")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_reused_parser_keeps_no_state(tmp_path):
+    # one parser serves every main() call of a process; what one command
+    # sets (a format, an error, an output file) must not reach the next
+    assert build_parser() is build_parser()
+    target = tmp_path / "out.json"
+    mult = ["mult", "--k", "1", "--ell", "1", "--D", "1", "--P", "1", "--F", "2", "--json"]
+    pairs = [
+        (["lattice", "--k", "1", "--ell", "2", "--format", "json"],
+         ["lattice", "--k", "1", "--ell", "2"]),
+        (["decompose", "--group", "xx", "--k", "1"],
+         ["decompose", "--k", "1", "--ell", "1", "--D", "1", "--P", "1"]),
+        (mult + ["--out", str(target)], mult),
+    ]
+    for first, second in pairs:
+        run_cli(*first)
+        assert run_cli(*second) == run_fresh(*second), (first, second)
+    assert target.read_text() == run_fresh(*mult)[1]

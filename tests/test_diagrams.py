@@ -16,10 +16,8 @@ from pieri.diagrams import (
     frontier_pass,
     gl_dim,
     gl_iterated_pieri,
-    horizontal_strips,
     kostka,
     partitions_of,
-    removed_strips,
 )
 
 
@@ -58,13 +56,13 @@ def brute_force_ssyt_count(outer, inner, content):
 
 
 def all_chains(start, steps):
-    """All interlacing chains from ``start`` with the given step sizes."""
+    """All interlacing chains of row tuples from ``start`` with the given step sizes."""
     chains = [(start,)]
     for size in steps:
         chains = [
             ch + (ext,)
             for ch in chains
-            for ext in horizontal_strips(ch[-1], size)
+            for ext in _added_strips(ch[-1], size)
         ]
     return chains
 
@@ -183,7 +181,7 @@ def test_kostka_equals_chain_count_exhaustive():
                     if sum(content) != boxes:
                         continue
                     chains = [
-                        ch for ch in all_chains(d, content) if ch[-1] == f
+                        ch for ch in all_chains(d.rows, content) if ch[-1] == f.rows
                     ]
                     assert kostka(SkewShape(f, d), content) == len(chains), (
                         f,
@@ -242,26 +240,26 @@ def test_interlaces_reflexive(d):
 @settings(max_examples=40, deadline=None)
 def test_strip_extension_is_interlacing(d, data):
     size = data.draw(st.integers(min_value=0, max_value=3))
-    for ext in horizontal_strips(d, size):
+    for ext in _added_strips(d.rows, size):
         assert interlaces(ext, d)
-        assert ext.size == d.size + size
+        assert sum(ext) == d.size + size
 
 
 @given(d=diagram_strategy(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_strip_removal_matches_interlacing(d, data):
     size = data.draw(st.integers(min_value=0, max_value=d.size + 1))
-    got = list(removed_strips(d, size))
-    want = [g for g in partitions_of(d.size - size, max(len(d), 1)) if interlaces(d, g)]
+    got = list(_removed_strips(d.rows, size))
+    want = [g.rows for g in partitions_of(d.size - size, max(len(d), 1)) if interlaces(d, g)]
     assert len(got) == len(set(got))
     assert set(got) == set(want)
 
 
 def test_strip_removal_examples():
-    assert [g.rows for g in removed_strips(YoungDiagram((2, 1)), 1)] == [(2,), (1, 1)]
-    assert list(removed_strips(YoungDiagram((2, 2)), 2)) == [YoungDiagram((2,))]
-    assert list(removed_strips(EMPTY, 0)) == [EMPTY]
-    assert list(removed_strips(EMPTY, 1)) == []
+    assert list(_removed_strips((2, 1), 1)) == [(2,), (1, 1)]
+    assert list(_removed_strips((2, 2), 2)) == [(2,)]
+    assert list(_removed_strips((), 0)) == [()]
+    assert list(_removed_strips((), 1)) == []
 
 
 def test_frontier_pass_counts_paths():
@@ -274,9 +272,8 @@ def test_frontier_pass_counts_paths():
 
 
 def test_strip_row_cap():
-    assert list(horizontal_strips(YoungDiagram((2, 1, 1)), 1, max_rows=2)) == []
-    only = [f.rows for f in horizontal_strips(YoungDiagram((1,)), 1, max_rows=1)]
-    assert only == [(2,)]
+    assert list(_added_strips((2, 1, 1), 1, max_rows=2)) == []
+    assert list(_added_strips((1,), 1, max_rows=1)) == [(2,)]
 
 
 def diagrams_inside(bound):

@@ -32,6 +32,8 @@ GOLDEN = [
      "832a8c00bab26a9cc8480800058704813bcf25ae9987a4a13b11aa893736165e"),
     ("lattice --k 2 --ell 3 --format dot",
      "e21151e2f68a8729b271d9861953583ba677804674b5ed29fd0d173445501eeb"),
+    ("lattice --k 3 --ell 2 --format json",
+     "af31b544afb9f69a39d033d5f382adb933813711810febf97576cf8113b99f43"),
     ("decompose --group o --k 1 --ell 1 --D 1 --P 1 --json",
      "61b63d1c6b495f3f8f846410c787b56046c564c6b84816c5fdcc5e35655f5c28"),
     ("decompose --group sp --k 1 --ell 1 --n 2 --D 1 --P 1 --json",
@@ -66,12 +68,30 @@ GOLDEN = [
      "daf148235d9362122c48b42c93bba1b0c905c9318cb6327b2018738cf0bff851"),
     ("verify --suite all --k 2 --ell 1 --json",
      "91923748752bd6635c788b2e4a87110779be53f073d4fb627bc62c68f55ded77"),
+    ("verify --suite hibi,subduction --k 1 --ell 3 --n 9 --json",
+     "009cd6fb0581962a97b0625e4511a8d8991abf774257f5d6a4c16666682b2786"),
     ("eta --k 1 --ell 1 --n 5 --c 0 --I 1 --J 1 --json",
      "30e009f951e3bce33b627ff22b503dc22c5691152af72e47c80207cef8ddb136"),
     ("eta --k 2 --ell 2 --n 9 --c 1 --I 2 --J 1,2 --Z 1:2 --json",
      "574db543450875aaebb8dfc50af2b082bbd80c59f539919a979d58e6fee0f0d7"),
     ("eta --k 2 --ell 3 --n 11 --c 0 --I 1,3 --J 2 --Z 1:3,2:3 --json",
      "0805ae6825251822778531a1d72918c11d30da999f041924fe55325bf245b0fe"),
+]
+
+# (command line, exit code, sha256 of stderr); each writes nothing to stdout
+ERRORS = [
+    # unknown subcommand
+    ("frobnicate --k 1", 1,
+     "f76bd94343958b38857bf83af37fb760df028e0e51db65f0c4734cb4ad24cc49"),
+    # non-integer --k
+    ("mult --k x --ell 1", 1,
+     "6b276a7594e1a6d95d0c04a27388cdde1471ceba217a440b2bde9b401b483477"),
+    # lattice without --k
+    ("lattice --ell 2", 2,
+     "7214918c63e5f2c0e36851e3171338cd949d7a0a2060b3656abcbe9a74a63f4f"),
+    # decompose outside the stable range
+    ("decompose --k 2 --ell 2 --n 8 --D 1 --P 1", 2,
+     "872846d8ea40cc8d556a86d016b7ce39937507e938216aa714bcb465b69b89d4"),
 ]
 
 
@@ -90,3 +110,9 @@ def digest(text: str) -> str:
 def test_output_bytes(command, out_sha):
     code, out, err = run(command.split())
     assert (code, digest(out), digest(err)) == (0, out_sha, digest(""))
+
+
+@pytest.mark.parametrize("command, code, err_sha", ERRORS, ids=[e[0] for e in ERRORS])
+def test_error_bytes(command, code, err_sha):
+    got, out, err = run(command.split())
+    assert (got, out, digest(err)) == (code, "", err_sha)

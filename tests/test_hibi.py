@@ -1,10 +1,13 @@
 import copy
+import gc
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 
+from pieri import hibi
 from pieri.cone import ConePoint, is_member, zero_point
 from pieri.hibi import (
     IncreasingSet,
@@ -346,3 +349,69 @@ def covers_by_pairwise_search(poset):
 def test_lattice_hasse_matches_pairwise_covers(k, ell):
     p = GammaPoset(k, ell)
     assert lattice_hasse(p) == covers_by_pairwise_search(p)
+
+
+def test_lattice_operations_return_the_posets_own_sets():
+    p = GammaPoset(2, 2)
+    sets = increasing_sets(p)
+    own = {id(s) for s in sets}
+    assert [id(s) for s in increasing_sets(p)] == [id(s) for s in sets]
+    rng = random.Random(3)
+    for _ in range(200):
+        a, b = rng.choice(sets), rng.choice(sets)
+        assert id(a | b) in own and id(a & b) in own
+    # sets built from a key or from members are looked up by value
+    a, b = from_cijz(p, 1, (2,), (1,)), IncreasingSet(p, sets[7].members)
+    assert all(a is not s and b is not s for s in sets)
+    assert id(a | b) in own and id(a & b) in own
+    assert {id(s) for _, s in standard_decomposition(a.chi() + b.chi()).terms} <= own
+    assert {id(s) for edge in lattice_hasse(p) for s in edge} == own
+    # an equal poset built anew keeps its own lattice
+    twin = GammaPoset(2, 2)
+    assert increasing_sets(twin) == sets
+    assert not {id(s) for s in increasing_sets(twin)} & own
+
+
+def test_standard_decomposition_error_messages():
+    p = GammaPoset(1, 1)
+    not_closed = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): 1,
+                               Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    with pytest.raises(ValueError) as exc:
+        standard_decomposition(not_closed)
+    assert str(exc.value) == "{Gamma(0, 1)} is not upward closed"
+    negative = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): -1,
+                             Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    with pytest.raises(ValueError) as exc:
+        standard_decomposition(negative)
+    assert str(exc.value) == "negative value in (0, -1, 0, 0): not a cone point"
+
+
+def test_index_miss_is_not_upward_closed():
+    p = GammaPoset(1, 1)
+    with pytest.raises(ValueError) as exc:
+        hibi._lookup(p, (0, 1, 0, 0))
+    assert str(exc.value) == "{Gamma(0, 1)} is not upward closed"
+
+
+def test_module_has_no_lattice_cache():
+    # the lattice index lives on the poset: nothing in the module keeps a
+    # lattice, so a poset and its sets die together once dropped
+    p = GammaPoset(2, 3)
+    sets = increasing_sets(p)
+    for a, b in zip(sets, reversed(sets)):
+        standard_decomposition((a | b).chi() + (a & b).chi())
+    lattice_hasse(p)
+    assert not [name for name, obj in vars(hibi).items() if not name.startswith("__")
+                and (hasattr(obj, "cache_info") or isinstance(obj, (dict, list, set)))]
+    gone = weakref.ref(p)
+    del p, sets, a, b
+    gc.collect()
+    assert gone() is None
+
+
+def test_copies_do_not_carry_the_lattice():
+    p = GammaPoset(2, 2)
+    a = increasing_sets(p)[40]
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and twin.poset._increasing_sets is None
+        assert twin | twin == a
