@@ -16,7 +16,8 @@ the stable range condition 2(k + ell) < n.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from operator import mul, or_
 from typing import NamedTuple
 
 from .cone import (
@@ -56,14 +57,18 @@ class PieriContext:
         self.poset = GammaPoset(k, ell)
         self.ring = ring = PolyRing(n, k, ell)
         self.lattice = increasing_sets(self.poset)
-        determinants = {}  # up-sets that differ only in Z share their (c, I, J) determinant
+        # up-sets that differ only in Z share their (c, I, J) determinant, and
+        # each is shifted by the single-term pairing monomial of its Z
+        determinants, pairings = {}, {}
         generators = []
         for a_set in self.lattice:
-            key = (a_set.c, a_set.I, a_set.J)
+            key, Z = (a_set.c, a_set.I, a_set.J), a_set.Z
             if key not in determinants:
                 determinants[key] = _key_determinant(ring, *key)
-            pairings = ring.monomial({Variable("rr", e.s, e.t): 1 for e in a_set.Z})
-            generators.append((a_set, determinants[key] * Polynomial(ring, {pairings: 1})))
+            if Z not in pairings:
+                mono = ring.monomial({Variable("rr", e.s, e.t): 1 for e in Z})
+                pairings[Z] = Polynomial(ring, {mono: 1})
+            generators.append((a_set, determinants[key] * pairings[Z]))
         self.generators = tuple(generators)
         assert all(not eta.is_zero() for _, eta in self.generators)
         self._etas = dict(self.generators)
@@ -128,10 +133,8 @@ def _key_determinant(ring: PolyRing, c: int, I, J) -> Polynomial:
 
 def eta_of(ctx: PieriContext, g: ConePoint) -> Polynomial:
     """Product of generator polynomials along the standard decomposition."""
-    out = ctx.ring.one()
-    for coeff, a_set in standard_decomposition(g).terms:
-        out = out * ctx.eta(a_set) ** coeff
-    return out
+    factors = [ctx.eta(a_set) ** coeff for coeff, a_set in standard_decomposition(g).terms]
+    return reduce(mul, factors) if factors else ctx.ring.one()
 
 
 def _lm_layout(poset: GammaPoset, ring: PolyRing) -> tuple:
@@ -236,7 +239,7 @@ def subduct(ctx: PieriContext, p: Polynomial) -> tuple[StandardCombination, Poly
         if lc_cur % lc_eta:
             break  # non-integral multiple; cannot reduce over the integers
         coeff = lc_cur // lc_eta
-        current = current - eta * coeff
+        current = current._combine(eta, -coeff)
         assert current.is_zero() or current._leading() < lm, "LM failed to decrease"
         terms.append(StandardTerm(coeff, g))
     return StandardCombination(tuple(terms)), current
@@ -341,8 +344,15 @@ def decompose_sp(k: int, ell: int, D, P, n: int) -> dict[YoungDiagram, int]:
 
 
 def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
-    """True iff every raising derivation annihilates ``p``."""
-    return all(ctx.ring.apply_derivation(p, d).is_zero() for d in ctx._raising)
+    """True iff every raising derivation annihilates ``p``.
+
+    A derivation none of whose variables occurs in ``p`` annihilates it, so
+    only those whose support meets the OR of ``p``'s monomials are applied.
+    """
+    ring = ctx.ring
+    ring._check_ring(p)
+    present = reduce(or_, p._terms, 0)
+    return all(ring.apply_derivation(p, d).is_zero() for d in ctx._raising if d[0] & present)
 
 
 def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:

@@ -78,7 +78,9 @@ class IncreasingSet:
     __and__ = intersect
 
     def _check_same_poset(self, other):
-        if not isinstance(other, IncreasingSet) or self.poset != other.poset:
+        if not isinstance(other, IncreasingSet) or (
+            self.poset is not other.poset and self.poset != other.poset
+        ):
             raise ValueError("increasing sets live on different posets")
 
     def __contains__(self, el):

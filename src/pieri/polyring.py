@@ -25,7 +25,10 @@ above them all.  Comparing two packed ints compares degrees first and then
 the exponents along the chain, so the graded lexicographic order is int
 order, and multiplying monomials is adding ints.  The top bit of every
 variable field is a guard bit: a product that sets one raises ValueError,
-so each exponent is limited to ``EXPONENT_LIMIT`` = 2^15 - 1.
+so each exponent is limited to ``EXPONENT_LIMIT`` = 2^15 - 1.  No exponent
+exceeds its monomial's degree, so the guard scan over a product's keys runs
+only when the degrees of its factors' leading monomials (the top field of
+the largest key) sum above that limit; at or below it no field can overflow.
 
 At the public boundary monomials are dense exponent tuples indexed by the
 chain (``Monomial``), and ``(degree, exponents)`` tuple comparison realizes
@@ -84,6 +87,7 @@ class PolyRing:
         self._units = tuple((1 << s) + degree_unit for s in self._shifts)
         self._guard = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
         self._exponents_mask = degree_unit - 1
+        self._degree_shift = FIELD_BITS * nvars
         self._fields = struct.Struct(f">{nvars}H")
 
     # -- variables ---------------------------------------------------------
@@ -143,18 +147,30 @@ class PolyRing:
     def _unpack(self, packed: int) -> Monomial:
         return self._fields.unpack((packed & self._exponents_mask).to_bytes(2 * self.nvars, "big"))
 
-    def _checked(self, terms: dict) -> dict:
+    def _degree(self, packed: int) -> int:
+        return packed >> self._degree_shift
+
+    def _checked(self, terms: dict, degree: int) -> dict:
         """``terms`` without zero coefficients, refusing any set guard bit.
 
-        Each key must be one sum of two guard-free monomials, so a field
-        that overflowed shows its guard bit and carried into nothing.
+        ``degree`` bounds the total degree of every key.  At most
+        ``EXPONENT_LIMIT``, it bounds every exponent too, so no field can
+        have overflowed and the guard scan is skipped.  Above it, every key
+        is ORed against the guard mask: each key must be one sum of two
+        guard-free monomials, so a field that overflowed shows its guard bit
+        and carried into nothing.
         """
-        terms = {m: c for m, c in terms.items() if c}
-        if terms and reduce(or_, terms) & self._guard:
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        self._check_guard(terms, degree)
+        return terms
+
+    def _check_guard(self, terms: dict, degree: int) -> None:
+        """The guard scan of ``_checked``, for keys that need no zero-drop."""
+        if degree > EXPONENT_LIMIT and terms and reduce(or_, terms) & self._guard:
             raise ValueError(
                 f"exponent above {EXPONENT_LIMIT}, the limit of 2^{FIELD_BITS - 1} - 1 per variable"
             )
-        return terms
 
     @staticmethod
     def _accumulate(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
@@ -208,7 +224,9 @@ class PolyRing:
         """Exact determinant by cofactor expansion along the first rows.
 
         A minor depends only on the columns left once its rows are fixed, so
-        each column subset is expanded once.  The empty matrix gives 1.
+        each column subset is expanded once.  The empty matrix gives 1.  No
+        term of any minor has a degree above the sum of the rows' largest
+        entry degrees, which bounds the guard scan of every minor.
         """
         size = len(matrix)
         if any(len(row) != size for row in matrix):
@@ -217,6 +235,7 @@ class PolyRing:
             for entry in row:
                 self._check_ring(entry)
         cells = [[entry._terms for entry in row] for row in matrix]
+        degree = sum(max((self._degree(max(e)) for e in row if e), default=0) for row in cells)
         minors: dict = {(): {0: 1}}
 
         def expand(cols):
@@ -228,46 +247,58 @@ class PolyRing:
                     if entry:
                         minor = expand(cols[:idx] + cols[idx + 1:])
                         self._accumulate(total, entry, minor, -1 if idx % 2 else 1)
-                minors[cols] = self._checked(total)
+                minors[cols] = self._checked(total, degree)
             return minors[cols]
 
         return _polynomial(self, expand(tuple(range(size))))
 
     def compile_derivation(self, table: dict[Variable, "Polynomial"]):
-        """The table as (support, entries) for ``apply_derivation``.
+        """The table as (support, entries, image degree) for ``apply_derivation``.
 
-        Each entry is (field shift, variable unit, packed image terms); the
-        support masks the fields of every entry, so a monomial that has none
-        of the table's variables is skipped with one test.
+        Each entry is (field shift, image terms), each image key lowered by
+        the variable's unit, so that adding a monomial that holds the
+        variable gives a key of the derivative.  The support masks the fields
+        of every entry, so a polynomial or monomial that has none of the
+        table's variables is skipped with one test.  The image degree is the
+        largest degree of any image term.
         """
         entries = []
-        support = 0
+        support = degree = 0
         for v, image in table.items():
             r = self.rank(v)
             self._check_ring(image)
             if image._terms:
                 shift = self._shifts[r]
-                entries.append((shift, self._units[r], tuple(image._terms.items())))
+                unit = self._units[r]
+                entries.append((shift, tuple((m - unit, c) for m, c in image._terms.items())))
                 support |= _FIELD_MASK << shift
-        return support, tuple(entries)
+                degree = max(degree, self._degree(max(image._terms)))
+        return support, tuple(entries), degree
 
     def apply_derivation(self, p: "Polynomial", compiled) -> "Polynomial":
-        """Apply a derivation from ``compile_derivation`` to ``p``."""
+        """Apply a derivation from ``compile_derivation`` to ``p``.
+
+        Only the entries whose variable occurs in ``p`` are visited.
+        """
         self._check_ring(p)
-        support, entries = compiled
+        support, entries, degree = compiled
+        present = reduce(or_, p._terms, 0)
+        if not present & support:
+            return self.zero()
+        entries = [entry for entry in entries if (present >> entry[0]) & _FIELD_MASK]
         acc: dict = {}
         get = acc.get
         for mono, coeff in p._terms.items():
             if not mono & support:
                 continue
-            for shift, unit, image in entries:
+            for shift, image in entries:
                 e = (mono >> shift) & _FIELD_MASK
                 if e:
-                    lowered, scale = mono - unit, coeff * e
+                    scale = coeff * e
                     for m, c in image:
-                        m += lowered
+                        m += mono
                         acc[m] = get(m, 0) + scale * c
-        return _polynomial(self, self._checked(acc))
+        return _polynomial(self, self._checked(acc, self._degree(max(p._terms)) - 1 + degree))
 
     def derive(self, p: "Polynomial", table: dict[Variable, "Polynomial"]) -> "Polynomial":
         """Apply the derivation extending ``table``; unlisted variables map to 0."""
@@ -374,6 +405,7 @@ class Polynomial:
         return _polynomial(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
+        """The product; a single-term factor shifts the other's keys in one pass."""
         if isinstance(other, int):
             terms = {m: c * other for m, c in self._terms.items()} if other else {}
             return _polynomial(self.ring, terms)
@@ -381,17 +413,31 @@ class Polynomial:
             return NotImplemented
         ring = self.ring
         ring._check_ring(other)
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if not a or not b:
+            return ring.zero()
+        degree = ring._degree(max(a)) + ring._degree(max(b))
+        if len(b) == 1:
+            # distinct keys stay distinct and nonzero coefficients nonzero
+            ((m2, c2),) = b.items()
+            terms = {m + m2: c * c2 for m, c in a.items()}
+            ring._check_guard(terms, degree)
+            return _polynomial(ring, terms)
         acc: dict = {}
-        ring._accumulate(acc, self._terms, other._terms)
-        return _polynomial(ring, ring._checked(acc))
+        ring._accumulate(acc, a, b)
+        return _polynomial(ring, ring._checked(acc, degree))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(exponent):
+        if not exponent:
+            return self.ring.one()
+        out = self
+        for _ in range(exponent - 1):
             out = out * self
         return out
 

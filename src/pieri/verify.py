@@ -127,8 +127,8 @@ def suite_hibi(k: int, ell: int, n: int | None = None) -> SuiteResult:
         except ValueError:  # the lattice index lacks the union or the intersection
             res.failures.append(f"lattice not closed for {a!r}, {b!r}")
             continue
-        lhs = tuple(map(add, a.chi().values, b.chi().values))
-        rhs = tuple(map(add, join.chi().values, meet.chi().values))
+        lhs = tuple(map(add, a.values, b.values))  # the indicators chi(a) + chi(b)
+        rhs = tuple(map(add, join.values, meet.values))
         if lhs != rhs:
             res.failures.append(f"indicator identity fails for {a!r}, {b!r}")
         if join.values not in indicators or meet.values not in indicators:

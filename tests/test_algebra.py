@@ -85,6 +85,17 @@ def test_eta_of(ctx11):
         assert eta_of(ctx11, a_set.chi()) == eta
 
 
+def test_eta_of_is_the_product_along_the_decomposition(ctx21):
+    assert eta_of(ctx21, zero_point(ctx21.poset)) == ctx21.ring.one()
+    rng = random.Random(2)
+    for _ in range(20):
+        sets = [rng.choice(ctx21.lattice) for _ in range(rng.randint(1, 3))]
+        g, want = zero_point(ctx21.poset), ctx21.ring.one()
+        for a_set in sets:
+            g, want = g + a_set.chi(), want * ctx21.eta(a_set)
+        assert eta_of(ctx21, g) == want
+
+
 def test_eta_of_refuses_negative_values(ctx11):
     values = [0] * len(ctx11.poset)
     values[ctx11.poset.index(Gamma(0, 1))] = -1
@@ -361,6 +372,31 @@ def test_highest_weight_examples(ctx11):
 def test_highest_weight_all_generators(ctx21):
     for _, eta in ctx21.generators:
         assert highest_weight_check(ctx21, eta)
+
+
+def test_highest_weight_generators_at_ell_2():
+    ctx = PieriContext(9, 2, 2)
+    assert all(highest_weight_check(ctx, eta) for _, eta in ctx.generators)
+    ring = ctx.ring
+    assert not highest_weight_check(ctx, ring.x(2, 1))
+    # one term is annihilated, the other is not: the sum is not
+    assert not highest_weight_check(ctx, ring.rr(1, 2) * ring.x(1, 1) + ring.rx(2, 1))
+    with pytest.raises(ValueError, match="different rings"):
+        highest_weight_check(ctx, PieriContext(7, 2, 1).ring.one())
+
+
+def test_highest_weight_skips_only_derivations_that_miss(ctx21):
+    # the definition: every raising derivation, applied whether or not it meets p
+    ring, rng = ctx21.ring, random.Random(5)
+    polys = [eta for _, eta in ctx21.generators]
+    # generators and x[1,1] are annihilated; the other variables each fail one derivation
+    pool = polys + [ring.x(1, 1)] * 8 + [ring.x(2, 1), ring.x(1, 2), ring.y(3, 1), ring.rx(2, 1)]
+    for _ in range(60):
+        p = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            p = p + rng.choice(pool) * rng.choice(polys)
+        want = all(ring.apply_derivation(p, d).is_zero() for d in ctx21._raising)
+        assert highest_weight_check(ctx21, p) == want
 
 
 def test_multidegree_examples(ctx11):

@@ -70,12 +70,18 @@ GOLDEN = [
      "91923748752bd6635c788b2e4a87110779be53f073d4fb627bc62c68f55ded77"),
     ("verify --suite hibi,subduction --k 1 --ell 3 --n 9 --json",
      "009cd6fb0581962a97b0625e4511a8d8991abf774257f5d6a4c16666682b2786"),
+    ("verify --suite lm,hw --k 2 --ell 2 --n 9 --json",
+     "aaf48bfc7dc102308271f16b5d3f78905cfe5675f450743be1c125323c85059e"),
+    ("verify --suite hw --k 2 --ell 3 --n 11 --json",
+     "0168042e7c1ba6526269739e2d64ee464979f41b4b1d6bc6b4f8b952536cb368"),
     ("eta --k 1 --ell 1 --n 5 --c 0 --I 1 --J 1 --json",
      "30e009f951e3bce33b627ff22b503dc22c5691152af72e47c80207cef8ddb136"),
     ("eta --k 2 --ell 2 --n 9 --c 1 --I 2 --J 1,2 --Z 1:2 --json",
      "574db543450875aaebb8dfc50af2b082bbd80c59f539919a979d58e6fee0f0d7"),
     ("eta --k 2 --ell 3 --n 11 --c 0 --I 1,3 --J 2 --Z 1:3,2:3 --json",
      "0805ae6825251822778531a1d72918c11d30da999f041924fe55325bf245b0fe"),
+    ("eta --k 3 --ell 2 --n 11 --c 1 --I 2 --J 1,2 --Z 1:2 --json",
+     "1abdaef768b498c0aac5fd581681651f1f36f135549072a495d70693f6ded900"),
 ]
 
 # (command line, exit code, sha256 of stderr); each writes nothing to stdout

@@ -203,8 +203,16 @@ def test_union_intersection():
     for s in sets[:10]:
         assert (s | empty) == s
         assert (s & s) == s
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different posets"):
         sets[0].union(increasing_sets(GammaPoset(1, 1))[0])
+    with pytest.raises(ValueError, match="different posets"):
+        sets[0] & increasing_sets(GammaPoset(2, 1))[0]
+    # a set of an equal poset built anew combines by value
+    twin = increasing_sets(GammaPoset(2, 2))
+    for s, t in zip(sets[:10], twin[3:13]):
+        assert (s | t).values == tuple(map(max, s.values, t.values))
+        assert (t & s).values == tuple(map(min, s.values, t.values))
+        assert (s <= t) == (s.values == (s & t).values)
 
 
 def test_hibi_identity_exhaustive():

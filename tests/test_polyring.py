@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pieri.polyring import EXPONENT_LIMIT, Polynomial, PolyRing, Variable
 
@@ -338,3 +338,78 @@ def test_packed_derive_matches_tuple_oracle(ring, data):
         v = ring.variables[data.draw(st.integers(min_value=0, max_value=ring.nvars - 1))]
         table[v] = data.draw(sparse_polynomials(ring, max_terms=3))
     assert dict(ring.derive(p, table).terms.items()) == tuple_derive(ring, p, table)
+
+
+# -- the degree-bounded guard scan, single-term products, powers ------------
+
+
+def test_exponent_limit_by_degree_bound():
+    ring = PolyRing(2, 1, 2)
+    x, y = ring.x(1, 1), ring.y(1, 1)
+    half, x20k, y20k = x ** 16384, x ** 20000, y ** 20000
+    # degree exactly at the limit: the scan is skipped and nothing overflowed
+    assert (half * x ** 16383).leading_monomial()[0] == 32767
+    with pytest.raises(ValueError, match="32767"):
+        half * half
+    # degree above the limit, but no field overflows: the scan must pass it
+    wide = x20k * y20k
+    assert str(wide) == "x[1,1]^20000*y[1,1]^20000"
+    assert str((x20k + 1) * (y20k + y)) == (
+        "x[1,1]^20000*y[1,1]^20000 + x[1,1]^20000*y[1,1] + y[1,1]^20000 + y[1,1]")
+    with pytest.raises(ValueError, match="32767"):
+        (half + y) * (half + 1)
+    zero = ring.zero()
+    assert ring.determinant([[x20k, zero], [zero, y20k]]) == wide
+    with pytest.raises(ValueError, match="32767"):
+        ring.determinant([[half, y], [ring.one(), half]])
+    lowered = ring.derive(wide, {Variable("y", 1, 1): x})
+    assert str(lowered) == "20000*x[1,1]^20001*y[1,1]^19999"
+
+
+@pytest.mark.parametrize("ring", [RING, BIG], ids=["2-1-2", "11-2-3"])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_single_term_product_matches_tuple_oracle(ring, data):
+    mono = data.draw(sparse_monomials(ring))
+    coeff = data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
+    single = Polynomial(ring, {mono: coeff})
+    p = data.draw(sparse_polynomials(ring))
+    for prod, oracle in ((single * p, tuple_product(single, p)),
+                         (p * single, tuple_product(p, single))):
+        assert dict(prod.terms.items()) == oracle
+        assert 0 not in prod._terms.values()
+
+
+@given(p=sparse_polynomials(BIG))
+@settings(max_examples=50)
+def test_powers(p):
+    one = BIG.one()
+    assert p ** 0 == one
+    assert p ** 1 == p
+    assert p ** 3 == p * p * p
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
+@pytest.mark.parametrize("ring", [RING, BIG], ids=["2-1-2", "11-2-3"])
+@pytest.mark.parametrize("support", ["misses", "overlaps", "covers"])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_derivation_by_support_matches_tuple_oracle(ring, support, data):
+    p = data.draw(sparse_polynomials(ring))
+    present = sorted({r for m in p.terms for r, e in enumerate(m) if e})
+    absent = [r for r in range(ring.nvars) if r not in present]
+    assume(absent or support == "covers")
+    if support == "misses":
+        ranks = data.draw(st.lists(st.sampled_from(absent), max_size=3))
+    elif support == "covers":
+        ranks = present
+    else:
+        ranks = data.draw(st.lists(st.sampled_from(present), max_size=2)) if present else []
+        ranks += data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=2))
+    table = {ring.variables[r]: data.draw(sparse_polynomials(ring, max_terms=3)) for r in ranks}
+    compiled = ring.compile_derivation(table)
+    got = ring.apply_derivation(p, compiled)
+    assert dict(got.terms.items()) == tuple_derive(ring, p, table)
+    if support == "misses":
+        assert got.is_zero()
