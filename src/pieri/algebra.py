@@ -41,7 +41,7 @@ from .diagrams import (
     kostka,
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
-from .poset import GammaPoset, eps_pairs
+from .poset import GammaPoset, check_rank, eps_pairs
 from .polyring import Monomial, Polynomial, PolyRing, Variable
 
 
@@ -49,10 +49,7 @@ class PieriContext:
     """Poset, polynomial ring and generator table for fixed (n, k, ell)."""
 
     def __init__(self, n: int, k: int, ell: int):
-        if 2 * (k + ell) >= n:
-            raise ValueError(
-                f"stable range requires 2(k+ell) < n; got n={n}, k={k}, ell={ell}"
-            )
+        check_rank("o", k, ell, n)
         self.n, self.k, self.ell = n, k, ell
         self.poset = GammaPoset(k, ell)
         self.ring = ring = PolyRing(n, k, ell)
@@ -174,8 +171,11 @@ def lm_predicted(ctx: PieriContext, g: ConePoint) -> Monomial:
     variables the consecutive row differences (entries beyond a row's
     length read as zero), pure pairings the pair-node values.  The
     exponents are linear in ``g``.  A negative one, which only a point that
-    is not order preserving can give, raises ValueError.
+    is not order preserving can give, raises ValueError, as does a point
+    of another poset.
     """
+    if g.poset is not ctx.poset and g.poset != ctx.poset:  # identity first: O(1)
+        raise ValueError(f"{g!r} does not belong to this context")
     values = g.values
     exps = [0] * ctx.ring.nvars
     for rank, pos, base in ctx._lm_layout:
@@ -191,8 +191,10 @@ def invert_predicted_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
 
     Returns None when no cone point matches (an exponent on a variable
     outside the layout, such as an off-diagonal matrix variable, or a
-    reconstruction that fails order preservation).
+    reconstruction that fails order preservation).  A tuple of the wrong
+    length raises ValueError.
     """
+    ctx.ring._check_monomial(mono)
     values = [0] * len(ctx.poset)
     used = 0
     for rank, pos, base in ctx._lm_layout:
@@ -222,8 +224,9 @@ def subduct(ctx: PieriContext, p: Polynomial) -> tuple[StandardCombination, Poly
     generator product.  A zero remainder certifies membership with an
     explicit expansion; a nonzero remainder's leading monomial lies outside
     the predicted image.  The leading monomial strictly decreases at every
-    step, so the loop terminates.
+    step, so the loop terminates.  ``p`` must be of the context's ring.
     """
+    ctx.ring._check_ring(p)
     if p.is_zero():
         raise ValueError("cannot subduct the zero polynomial")
     terms = []
@@ -280,24 +283,6 @@ def multiplicity_via_cone(k: int, ell: int, F, D, P) -> int:
     return len(enumerate_fiber(GammaPoset(k, ell), F, D, P))
 
 
-def check_rank(group: str, k: int, ell: int, n: int | None) -> None:
-    """Refuse a rank ``n`` at which the (k, ell) table is not asserted.
-
-    ``"o"``: the stable range ``2(k + ell) < n``, checked when ``n`` is given.
-    ``"sp"``: the rank-2n symplectic group needs ``n``, and ``k + ell <= n``.
-    """
-    if group == "sp":
-        if n is None:
-            raise ValueError("group sp requires the rank n")
-        if k + ell > n:
-            raise ValueError(f"need k + ell <= n, got k={k}, ell={ell}, n={n}")
-    elif n is not None and 2 * (k + ell) >= n:
-        raise ValueError(
-            "outside stable range: result not asserted for "
-            f"n={n} with k={k}, ell={ell}"
-        )
-
-
 def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagram, int]:
     """Full multiplicity table of the orthogonal tensor product (D, P).
 
@@ -311,7 +296,8 @@ def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagr
     range; the table itself does not depend on it.
     """
     _, D, P = _validated_triple(k, ell, EMPTY, D, P)
-    check_rank("o", k, ell, n)
+    if n is not None:
+        check_rank("o", k, ell, n)
     table = frontier_rows(D.rows, P, lambda g, p: _newell_littlewood_step(g, p, k + ell))
     ordered = sorted(table.items(), key=lambda fm: (sum(fm[0]), [-r for r in fm[0]]))
     return {YoungDiagram._trusted(rows): m for rows, m in ordered}
@@ -361,8 +347,9 @@ def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:
     Row degrees combine the matrix and vector variables; column degrees
     combine matrix columns with their cross pairings; content degrees
     combine vector columns, cross pairings and incident pure pairings.
-    Raises ValueError when the monomials disagree.
+    Raises ValueError when the monomials disagree or ``p`` is of another ring.
     """
+    ctx.ring._check_ring(p)
     if p.is_zero():
         raise ValueError("zero polynomial has no multidegree")
     n, k, ell = ctx.n, ctx.k, ctx.ell

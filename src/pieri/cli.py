@@ -23,7 +23,6 @@ from functools import cache
 
 from .algebra import (
     PieriContext,
-    check_rank,
     decompose_o,
     decompose_sp,
     multiplicity,
@@ -35,12 +34,11 @@ from .diagrams import (
     SkewShape,
     YoungDiagram,
     as_composition,
-    check_gl_rank,
     gl_iterated_pieri,
     kostka,
 )
 from .hibi import from_cijz, increasing_sets, lattice_hasse
-from .poset import Eps, Gamma, GammaPoset
+from .poset import Eps, Gamma, GammaPoset, check_rank
 from .verify import run_suites
 
 SCHEMA = "pieri/1"
@@ -141,29 +139,17 @@ def make_record(command: str, params: dict, result: dict) -> dict:
 
 def cmd_mult(args) -> int:
     F = parse_diagram(args.F)
+    params, k, ell, D, P = _table_args(args)
+    params["F"] = list(F.rows)
+    verified = None
     if args.group == "gl":
-        D = parse_diagram(args.D)
-        P = parse_composition(args.P, args.ell if args.ell else _default_len(args.P))
-        check_gl_rank(D, args.n)
-        m = 0
-        if len(F) <= args.n and F.contains(D):
-            m = kostka(SkewShape(F, D), P)
-        verified = None
+        m = kostka(SkewShape(F, D), P) if len(F) <= args.n and F.contains(D) else 0
         if args.verify:
             verified = gl_iterated_pieri(D, P, args.n).get(F, 0)
-        params = {"group": "gl", "n": args.n, "D": list(D.rows), "P": list(P),
-                  "F": list(F.rows)}
     else:
-        k, ell = _require_k_ell(args)
-        D = parse_diagram(args.D)
-        P = parse_composition(args.P, ell)
-        check_rank(args.group, k, ell, args.n)
         m = multiplicity(k, ell, F, D, P)
-        verified = None
         if args.verify:
             verified = multiplicity_via_cone(k, ell, F, D, P)
-        params = {"group": args.group, "k": k, "ell": ell, "n": args.n,
-                  "D": list(D.rows), "P": list(P), "F": list(F.rows)}
     result = {"multiplicity": m}
     if verified is not None:
         result["independent_count"] = verified
@@ -177,21 +163,13 @@ def cmd_mult(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    params, k, ell, D, P = _table_args(args)
     if args.group == "gl":
-        D = parse_diagram(args.D)
-        P = parse_composition(args.P, args.ell if args.ell else _default_len(args.P))
         table = gl_iterated_pieri(D, P, args.n)
-        params = {"group": "gl", "n": args.n, "D": list(D.rows), "P": list(P)}
+    elif args.group == "sp":
+        table = decompose_sp(k, ell, D, P, args.n)
     else:
-        k, ell = _require_k_ell(args)
-        D = parse_diagram(args.D)
-        P = parse_composition(args.P, ell)
-        if args.group == "sp":
-            table = decompose_sp(k, ell, D, P, args.n)
-        else:
-            table = decompose_o(k, ell, D, P, args.n)
-        params = {"group": args.group, "k": k, "ell": ell, "n": args.n,
-                  "D": list(D.rows), "P": list(P)}
+        table = decompose_o(k, ell, D, P, args.n)
     ordered = sorted(table.items(), key=lambda fm: diagram_sort_key(fm[0]))
     record = make_record(
         "decompose",
@@ -274,8 +252,6 @@ def _emit_graph(args, command, params, nodes, edges) -> int:
 
 def cmd_eta(args) -> int:
     k, ell = _require_k_ell(args)
-    if args.n is None:
-        raise ValueError("eta requires --n")
     ctx = PieriContext(args.n, k, ell)
     a_set = from_cijz(
         ctx.poset,
@@ -300,7 +276,6 @@ def cmd_eta(args) -> int:
 def cmd_verify(args) -> int:
     k, ell = _require_k_ell(args)
     n = args.n if args.n is not None else 2 * (k + ell) + 1
-    check_rank("o", k, ell, n)
     results = run_suites(args.suite.split(","), k, ell, n)
     lines = []
     for res in results:
@@ -330,8 +305,24 @@ def _require_k_ell(args):
     return args.k, args.ell
 
 
-def _default_len(text: str | None) -> int:
-    return len(text.split(",")) if text else 1
+def _table_args(args):
+    """``(params, k, ell, D, P)`` of ``mult`` and ``decompose``, the rank checked.
+
+    GL takes no k; its --ell, or else the number of --P entries, is the
+    length of P.  An orthogonal table asserts a rank only when --n is given.
+    """
+    if args.group == "gl":
+        k, ell = None, args.ell or (args.P or "").count(",") + 1
+        params = {"group": "gl", "n": args.n}
+    else:
+        k, ell = _require_k_ell(args)
+        params = {"group": args.group, "k": k, "ell": ell, "n": args.n}
+    D = parse_diagram(args.D)
+    P = parse_composition(args.P, ell)
+    if args.group != "o" or args.n is not None:
+        check_rank(args.group, k, ell, args.n, D)
+    params.update(D=list(D.rows), P=list(P))
+    return params, k, ell, D, P
 
 
 @cache

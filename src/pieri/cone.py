@@ -21,13 +21,8 @@ from itertools import chain, product
 from operator import ge
 from typing import NamedTuple
 
-from .diagrams import (
-    YoungDiagram,
-    _compositions,
-    _int_tuple,
-    as_composition,
-)
-from .poset import Eps, GammaPoset, eps_pairs
+from .diagrams import YoungDiagram, _compositions, as_composition
+from .poset import Eps, GammaPoset, _int_tuple, check_k_ell, eps_pairs
 
 
 class MultiDegree(NamedTuple):
@@ -318,9 +313,7 @@ def _middle_candidates(f_rows: tuple, d_rows: tuple, ell: int, total: int):
 
 def _validated_triple(k: int, ell: int, F, D, P):
     """Check (k, ell) and coerce the multidegree (F, D, P) to fit them."""
-    _int_tuple((k, ell))  # raises ValueError for a non-integral k or ell
-    if k < 1 or ell < 1:
-        raise ValueError(f"need k >= 1 and ell >= 1, got ({k}, {ell})")
+    check_k_ell(k, ell)
     if not isinstance(F, YoungDiagram):
         F = YoungDiagram(F)
     if not isinstance(D, YoungDiagram):

@@ -11,35 +11,27 @@ the library's central cross-checks, so they are deliberately elementary:
 semistandard fillings are counted by direct backtracking, and the strip
 steps of the GL Pieri rule and of the Newell–Littlewood tables of
 :mod:`pieri.algebra` are explicit horizontal-strip extensions and
-removals.  ``frontier_pass`` pushes a diagram through a sequence of such
-steps; the GL rule here and the orthogonal tables are both one pass of it.
-The interlacing chains of a fiber are walked in :mod:`pieri.cone`, not here.
+removals.  ``frontier_rows`` pushes a row tuple through a sequence of
+such steps; the GL rule here and the orthogonal tables are both one pass
+of it.  The interlacing chains of a fiber are walked in :mod:`pieri.cone`,
+not here.
 
 Tables run on canonical row tuples, not on diagrams.  The strip kernels
 ``_added_strips`` and ``_removed_strips`` take and yield row tuples, and a
 step gives ``(rows, ways)`` pairs.  Both table steps, the GL one here and
 the orthogonal one in :mod:`pieri.algebra`, are cached per (rows, step
 size, row cap) and keep each distinct row tuple and each distinct pair
-once through ``_interned``.  ``frontier_pass`` wraps the row tuples it ends with in
-diagrams through ``YoungDiagram._trusted``, which skips the validation
-that ``YoungDiagram(...)`` does; ``frontier_rows`` is the same pass
-without the wrapping, for a caller that orders the rows first.
+once through ``_interned``.  Each table wraps only the row tuples the pass
+ends with in diagrams, through ``YoungDiagram._trusted``, which skips the
+validation that ``YoungDiagram(...)`` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import index
 
-
-def _int_tuple(values) -> tuple[int, ...]:
-    """The entries as a tuple of ints; a non-integral one (2.7, "3") raises ValueError."""
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(f"expected integers, got {values!r}") from None
+from .poset import _int_tuple, check_rank
 
 
 class YoungDiagram:
@@ -284,12 +276,6 @@ def _interned(key: tuple) -> tuple:
     return _INTERNED.setdefault(key, key)
 
 
-def frontier_pass(start: YoungDiagram, steps, successors) -> dict[YoungDiagram, int]:
-    """``frontier_rows`` from ``start``, with each row tuple at the end wrapped in a diagram."""
-    table = frontier_rows(start.rows, steps, successors)
-    return {YoungDiagram._trusted(rows): mult for rows, mult in table.items()}
-
-
 def frontier_rows(start: tuple, steps, successors) -> dict[tuple, int]:
     """Push ``{start: 1}`` through one step per entry of ``steps``.
 
@@ -341,17 +327,6 @@ def _compositions(total: int, caps: tuple[int, ...]):
     yield from rec(0, total)
 
 
-def check_gl_rank(d: YoungDiagram, n: int | None) -> None:
-    """Refuse a missing GL_n rank, a non-integral one, one below 1, or a diagram ``d`` with more than n rows."""
-    if n is None:
-        raise ValueError("group gl requires the rank n")
-    _int_tuple((n,))  # raises ValueError for a non-integral rank
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if len(d) > n:
-        raise ValueError(f"{d!r} has more than n={n} rows")
-
-
 def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     """Decompose a GL_n tensor product with one-row factors of sizes ``p``.
 
@@ -362,8 +337,9 @@ def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     p = as_composition(p)
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
-    check_gl_rank(d, n)
-    return frontier_pass(d, p, lambda rows, step: _gl_step(rows, step, n))
+    check_rank("gl", None, None, n, d)
+    table = frontier_rows(d.rows, p, lambda rows, step: _gl_step(rows, step, n))
+    return {YoungDiagram._trusted(rows): mult for rows, mult in table.items()}
 
 
 @cache
@@ -376,7 +352,7 @@ def gl_dim(d: YoungDiagram, n: int) -> int:
     """Dimension of the irreducible GL_n representation labeled by ``d``."""
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
-    check_gl_rank(d, n)
+    check_rank("gl", None, None, n, d)
     lam = d.padded(n)
     dim = Fraction(1)
     for i in range(n):

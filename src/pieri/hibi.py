@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .cone import ConePoint, _order_preserving, zero_point
-from .poset import Eps, GammaPoset
+from .poset import Eps, GammaPoset, _int_tuple
 
 
 class IncreasingSet:
@@ -121,10 +121,11 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
 
     ``I`` marks the steps at which the negative rows gain a node, ``J`` the
     positive ones; the negative rows only have k slots, whence ``|I| <= k - c``.
-    A repeated entry in I, J or Z is refused, not merged.
+    A repeated entry in I, J or Z is refused, not merged, and so is a
+    non-integral c or entry of I or J.
     """
     k, ell = poset.k, poset.ell
-    I, J, Z = tuple(I), tuple(J), tuple(Z)
+    (c,), I, J, Z = _int_tuple((c,)), _int_tuple(I), _int_tuple(J), tuple(Z)
     if len(set(I)) != len(I) or len(set(J)) != len(J):
         raise ValueError("I and J must not repeat indices")
     if len(set(Z)) != len(Z):
@@ -139,19 +140,23 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     for el in Z:
         if not isinstance(el, Eps) or el not in poset:
             raise ValueError(f"{el!r} is not a pair node of {poset!r}")
-    return _from_key(poset, c, I, J, Z)
+    return _from_key(poset, _row_widths(poset), c, I, J, Z)
 
 
-def _from_key(poset: GammaPoset, c: int, I: frozenset, J: frozenset, Z: frozenset) -> IncreasingSet:
-    """The increasing set of a valid key, keeping the given frozensets."""
+def _row_widths(poset: GammaPoset) -> tuple[int, ...]:
+    return tuple(poset.row_length(level) for level in range(-poset.ell, poset.ell + 1))
+
+
+def _from_key(poset: GammaPoset, widths: tuple, c: int, I, J, Z) -> IncreasingSet:
+    """The increasing set of a valid key (frozensets I, J, Z kept as given), rows ``widths`` long."""
     ell = poset.ell
     counts = [c] * (2 * ell + 1)  # row counts by level + ell
     for s in range(1, ell + 1):
         counts[ell - s] = counts[ell - s + 1] + (s in I)
         counts[ell + s] = counts[ell + s - 1] + (s in J)
     values = []
-    for level, count in enumerate(counts, -ell):
-        values += [1] * count + [0] * (poset.row_length(level) - count)
+    for count, width in zip(counts, widths):
+        values += [1] * count + [0] * (width - count)
     values += [1 if el in Z else 0 for el in poset.eps_elements]
     a_set = object.__new__(IncreasingSet)
     a_set.poset, a_set.values, a_set._profile = poset, tuple(values), tuple(counts)
@@ -175,11 +180,11 @@ def _index(poset: GammaPoset) -> dict[tuple, IncreasingSet]:
     Unions, intersections, level sets and the Hasse diagram look sets up here.
     """
     if poset._increasing_sets is None:
-        k = poset.k
+        k, widths = poset.k, _row_widths(poset)
         # the sets share one frozenset per distinct I, J or Z
         steps, pairs = _subsets(range(1, poset.ell + 1)), _subsets(poset.eps_elements)
         sets = (
-            _from_key(poset, c, I, J, Z)
+            _from_key(poset, widths, c, I, J, Z)
             for c in range(k + 1)
             for I in steps if len(I) <= k - c
             for J in steps

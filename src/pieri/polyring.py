@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .poset import eps_pairs
+from .poset import check_k_ell, check_rank, eps_pairs
 
 Monomial = tuple  # dense exponent tuple, aligned with PolyRing.variables
 
@@ -71,8 +71,8 @@ class PolyRing:
     """Variable table and arithmetic context for fixed (n, k, ell)."""
 
     def __init__(self, n: int, k: int, ell: int):
-        if n < 1 or k < 1 or ell < 1:
-            raise ValueError(f"need positive (n, k, ell), got {(n, k, ell)}")
+        check_k_ell(k, ell)
+        check_rank("gl", None, None, n)  # the n rows GL_n acts on
         self.n, self.k, self.ell = n, k, ell
         variables = [Variable("x", i, j) for j in range(1, k + 1) for i in range(1, n + 1)]
         variables += [Variable("y", i, j) for j in range(1, ell + 1) for i in range(1, n + 1)]
@@ -134,8 +134,7 @@ class PolyRing:
     # -- packed monomials --------------------------------------------------
 
     def _pack(self, m: Monomial) -> int:
-        if len(m) != self.nvars:
-            raise ValueError(f"monomial {m!r} does not have {self.nvars} exponents")
+        self._check_monomial(m)
         if min(m) < 0 or max(m) > EXPONENT_LIMIT:
             raise ValueError(f"monomial {m!r} has an exponent outside 0..{EXPONENT_LIMIT}")
         try:
@@ -143,6 +142,10 @@ class PolyRing:
         except struct.error:
             raise ValueError(f"monomial {m!r} has a non-integer exponent") from None
         return int.from_bytes(fields, "big") | (sum(m) << FIELD_BITS * self.nvars)
+
+    def _check_monomial(self, m: Monomial) -> None:
+        if len(m) != self.nvars:
+            raise ValueError(f"monomial {m!r} does not have {self.nvars} exponents")
 
     def _unpack(self, packed: int) -> Monomial:
         return self._fields.unpack((packed & self._exponents_mask).to_bytes(2 * self.nvars, "big"))

@@ -11,12 +11,53 @@ Generating relations (transitively closed on the first ``leq`` or ``up_set``):
 * row(s+1, j) >= row(s, j)   and  row(s, j) >= row(s+1, j+1)   for s >= 0,
 * row(-s-1, j) >= row(-s, j) and  row(-s, j) >= row(-s-1, j+1) for s >= 0,
 * pair nodes are incomparable to everything.
+
+Every entry point checks its integers, its (k, ell) and its rank n here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    """The entries as a tuple of ints; a non-integral one (2.7, "3") raises ValueError."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integers, got {values!r}") from None
+
+
+def check_k_ell(k: int, ell: int) -> None:
+    """Refuse a (k, ell) that is not a pair of integers >= 1."""
+    _int_tuple((k, ell))
+    if k < 1 or ell < 1:
+        raise ValueError(f"need k >= 1 and ell >= 1, got ({k}, {ell})")
+
+
+def check_rank(group: str, k: int | None, ell: int | None, n: int | None, d=()) -> None:
+    """Refuse a missing or non-integral rank ``n``, or one at which ``group`` is not asserted.
+
+    ``"o"``: a valid (k, ell) and the stable range ``2(k + ell) < n``.
+    ``"sp"``: a valid (k, ell) and ``k + ell <= n`` (the rank-2n group).
+    ``"gl"``: ``n >= 1``, and the diagram ``d`` has at most n rows.
+    """
+    if group != "gl":
+        check_k_ell(k, ell)
+    if n is None:
+        raise ValueError(f"group {group} requires the rank n")
+    _int_tuple((n,))
+    if group == "o" and 2 * (k + ell) >= n:
+        raise ValueError(f"outside stable range: result not asserted for n={n} with k={k}, ell={ell}")
+    if group == "sp" and k + ell > n:
+        raise ValueError(f"need k + ell <= n, got k={k}, ell={ell}, n={n}")
+    if n < 1:  # only a gl rank gets here so small
+        raise ValueError(f"need n >= 1, got n={n}")
+    if len(d) > n:
+        raise ValueError(f"{d!r} has more than n={n} rows")
 
 
 @dataclass(frozen=True)
@@ -57,25 +98,20 @@ class GammaPoset:
     """
 
     def __init__(self, k: int, ell: int):
-        if k < 1 or ell < 1:
-            raise ValueError(f"need k >= 1 and ell >= 1, got ({k}, {ell})")
+        check_k_ell(k, ell)
         self.k = k
         self.ell = ell
-        elements: list[Gamma | Eps] = [
-            Gamma(level, j)
-            for level in range(-ell, ell + 1)
-            for j in range(1, self.row_length(level) + 1)
-        ]
+        elements: list[Gamma | Eps] = []
+        self._row_slices = {}
+        for level in range(-ell, ell + 1):
+            start = len(elements)
+            elements += [Gamma(level, j) for j in range(1, k + max(0, level) + 1)]
+            self._row_slices[level] = slice(start, len(elements))
+        start = len(elements)
         elements += [Eps(s, t) for s, t in eps_pairs(ell)]
+        self.eps_slice = slice(start, len(elements))
         self.elements: tuple = tuple(elements)
         self._pos = {el: i for i, el in enumerate(elements)}
-        self._row_slices = {}
-        start = 0
-        for level in range(-ell, ell + 1):
-            stop = start + self.row_length(level)
-            self._row_slices[level] = slice(start, stop)
-            start = stop
-        self.eps_slice = slice(start, len(elements))
         self.eps_elements: tuple[Eps, ...] = self.elements[self.eps_slice]
 
         n = len(elements)
@@ -118,9 +154,9 @@ class GammaPoset:
         return leq
 
     def row_length(self, level: int) -> int:
-        if not -self.ell <= level <= self.ell:
-            raise ValueError(f"level {level} out of range for ell={self.ell}")
-        return self.k + max(0, level)
+        """k + max(0, level) nodes; a level outside -ell..ell raises ValueError."""
+        row = self.row_slice(level)
+        return row.stop - row.start
 
     def row_slice(self, level: int) -> slice:
         """Positions of the row at ``level`` in the canonical element order."""

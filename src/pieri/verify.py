@@ -27,7 +27,7 @@ from .algebra import (
 from .cone import enumerate_fiber, zero_point
 from .diagrams import SkewShape, kostka, partitions_of
 from .hibi import increasing_sets
-from .poset import GammaPoset
+from .poset import GammaPoset, check_rank
 
 
 @dataclass
@@ -224,6 +224,8 @@ SUITES = {
 
 
 def run_suites(names, k: int, ell: int, n: int) -> list[SuiteResult]:
+    """Run the named suites, or all, at a rank in the stable range, as ``pieri verify`` does."""
+    check_rank("o", k, ell, n)
     if "all" in names:
         names = list(SUITES)
     unknown = [nm for nm in names if nm not in SUITES]

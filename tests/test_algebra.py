@@ -126,6 +126,16 @@ def test_lm_predicted_examples(ctx11):
     assert lm_predicted(ctx11, zero_point(ctx11.poset)) == ctx11.ring.monomial({})
 
 
+def test_lm_predicted_refuses_a_point_of_another_poset():
+    ctx = PieriContext(9, 2, 2)
+    with pytest.raises(ValueError, match="does not belong to this context"):
+        lm_predicted(ctx, from_cijz(GammaPoset(3, 2), 1).chi())
+    # an equal poset built apart is the same poset
+    assert lm_predicted(ctx, from_cijz(GammaPoset(2, 2), 1).chi()) == lm_predicted(
+        ctx, from_cijz(ctx.poset, 1).chi()
+    )
+
+
 def test_lm_predicted_additive_and_injective():
     ctx = PieriContext(9, 2, 2)
     rng = random.Random(11)
@@ -187,6 +197,11 @@ def test_invert_predicted_lm(ctx11):
                 for _ in range(60)]
         for g in chis + sums:
             assert invert_predicted_lm(ctx, lm_predicted(ctx, g)) == g
+
+
+def test_invert_predicted_lm_refuses_a_tuple_of_another_length(ctx11):
+    with pytest.raises(ValueError, match="exponents"):
+        invert_predicted_lm(ctx11, (1,))
 
 
 def test_multiplicity_examples():
@@ -351,6 +366,12 @@ def test_subduct_all_pairs_terminate(ctx11, ctx21):
             )
 
 
+def test_subduct_refuses_a_polynomial_of_another_ring():
+    eta = PieriContext(11, 2, 2).eta(from_cijz(GammaPoset(2, 2), 0, (), (1,)))
+    with pytest.raises(ValueError, match="different rings"):
+        subduct(PieriContext(9, 2, 2), eta)
+
+
 def test_subduct_zero_rejected(ctx11):
     with pytest.raises(ValueError):
         subduct(ctx11, ctx11.ring.zero())
@@ -408,6 +429,12 @@ def test_multidegree_examples(ctx11):
         multidegree_of_polynomial(ctx11, ring.x(1, 1) + ring.one())
     with pytest.raises(ValueError):
         multidegree_of_polynomial(ctx11, ring.zero())
+
+
+def test_multidegree_refuses_a_polynomial_of_another_ring():
+    eta = PieriContext(11, 2, 2).eta(from_cijz(GammaPoset(2, 2), 0, (), (1,)))
+    with pytest.raises(ValueError, match="different rings"):
+        multidegree_of_polynomial(PieriContext(9, 2, 2), eta)
 
 
 def test_multidegree_matches_degree_on_generators(ctx21):

@@ -1,6 +1,8 @@
+import io
 import itertools
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,14 @@ from pieri.cone import (
     s_of_abc,
     zero_point,
 )
-from pieri.algebra import decompose_o, multiplicity
+from pieri.algebra import (
+    PieriContext,
+    decompose_o,
+    decompose_sp,
+    multiplicity,
+    multiplicity_via_cone,
+)
+from pieri.cli import main
 from pieri.diagrams import (
     EMPTY,
     SkewShape,
@@ -31,6 +40,8 @@ from pieri.diagrams import (
     kostka,
 )
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
+from pieri.polyring import PolyRing
+from pieri.verify import run_suites
 
 
 def interlaces(a, b) -> bool:
@@ -402,3 +413,21 @@ def test_non_integral_rank_is_refused():
         decompose_o(2.0, 1, (1,), (1,))
     with pytest.raises(ValueError, match="expected integers"):
         multiplicity(1, 1.5, (1,), (), (1,))
+    # every entry point takes (k, ell) and n through the same checks
+    for build in (
+        lambda: GammaPoset(1.5, 1),
+        lambda: PolyRing(5.5, 1, 1),
+        lambda: PieriContext(11, 2.0, 1),
+        lambda: multiplicity_via_cone(1.0, 1, (2,), (1,), (1,)),
+        lambda: decompose_o(1, 1, (1,), (1,), n=5.5),
+        lambda: decompose_sp(1, 1, (1,), (1,), n=2.5),
+    ):
+        with pytest.raises(ValueError, match="expected integers"):
+            build()
+    # the library refuses the rank that `pieri verify` refuses, in the same words
+    with pytest.raises(ValueError, match="outside stable range") as refused:
+        run_suites(["oracle"], 1, 1, 3)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main("verify --suite oracle --k 1 --ell 1 --n 3".split())
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {refused.value}\n")

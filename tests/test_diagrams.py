@@ -13,7 +13,7 @@ from pieri.diagrams import (
     _gl_step,
     _removed_strips,
     as_composition,
-    frontier_pass,
+    frontier_rows,
     gl_dim,
     gl_iterated_pieri,
     kostka,
@@ -262,13 +262,13 @@ def test_strip_removal_examples():
     assert list(_removed_strips((), 1)) == []
 
 
-def test_frontier_pass_counts_paths():
+def test_frontier_rows_counts_paths():
     # two unit steps from the empty diagram: (2) and (1, 1) one way each
-    table = frontier_pass(EMPTY, (1, 1), lambda rows, p: ((f, 1) for f in _added_strips(rows, p)))
-    assert table == {YoungDiagram((2,)): 1, YoungDiagram((1, 1)): 1}
+    table = frontier_rows((), (1, 1), lambda rows, p: ((f, 1) for f in _added_strips(rows, p)))
+    assert table == {(2,): 1, (1, 1): 1}
     # a successor counted twice counts twice, as one pair of weight 2 or as two pairs
-    assert frontier_pass(EMPTY, (0, 0), lambda rows, p: [(rows, 2)]) == {EMPTY: 4}
-    assert frontier_pass(EMPTY, (0, 0), lambda rows, p: [(rows, 1), (rows, 1)]) == {EMPTY: 4}
+    assert frontier_rows((), (0, 0), lambda rows, p: [(rows, 2)]) == {(): 4}
+    assert frontier_rows((), (0, 0), lambda rows, p: [(rows, 1), (rows, 1)]) == {(): 4}
 
 
 def test_strip_row_cap():

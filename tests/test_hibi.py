@@ -105,6 +105,11 @@ def test_from_cijz_validation():
         from_cijz(p, 0, {2})
     with pytest.raises(ValueError):
         from_cijz(p, 0, (), (), {Eps(1, 2)})
+    # c and the entries of I and J must be integers, not merely equal to one
+    with pytest.raises(ValueError, match="expected integers"):
+        from_cijz(p, 1.0)
+    with pytest.raises(ValueError, match="expected integers"):
+        from_cijz(p, 0, (1.0,))
 
 
 def test_from_cijz_rejects_repeated_keys():
