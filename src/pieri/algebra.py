@@ -32,9 +32,10 @@ from .diagrams import (
     EMPTY,
     SkewShape,
     YoungDiagram,
-    _added_strips,
     _compositions,
+    _gl_step,
     _interned,
+    _ordered_table,
     _removed_strips,
     bounded_diagrams,
     frontier_rows,
@@ -299,8 +300,7 @@ def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagr
     if n is not None:
         check_rank("o", k, ell, n)
     table = frontier_rows(D.rows, P, lambda g, p: _newell_littlewood_step(g, p, k + ell))
-    ordered = sorted(table.items(), key=lambda fm: (sum(fm[0]), [-r for r in fm[0]]))
-    return {YoungDiagram._trusted(rows): m for rows, m in ordered}
+    return _ordered_table(table)
 
 
 @cache
@@ -308,13 +308,14 @@ def _newell_littlewood_step(g: tuple, p: int, max_rows: int) -> tuple[tuple[tupl
     """``(rows, ways)`` for every diagram one factor σ^(p) reaches from σ^g.
 
     Each way removes a horizontal strip of size a from the rows ``g``, then
-    adds one of size p - a with at most ``max_rows`` rows.  The pairs come
-    in the order their diagrams are first reached.
+    adds one of size p - a with at most ``max_rows`` rows: the cached GL
+    step from each intermediate diagram.  The pairs come in the order their
+    diagrams are first reached.
     """
     ways: dict[tuple, int] = {}
     for a in range(p + 1):
         for h in _removed_strips(g, a):
-            for f in _added_strips(h, p - a, max_rows):
+            for f, _ in _gl_step(h, p - a, max_rows):
                 ways[f] = ways.get(f, 0) + 1
     return tuple(_interned((_interned(f), w)) for f, w in ways.items())
 

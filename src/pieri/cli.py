@@ -11,7 +11,7 @@ writes the output to a file instead of stdout.  Diagram lists are ordered
 by size, then reverse-lexicographically.
 
 Exit codes: 0 ok, 1 usage error (bad arguments, or an ``--out`` file that
-cannot be opened), 2 domain error, 3 verification failure.
+cannot be opened or written), 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ def parse_eps_set(text: str | None) -> tuple[Eps, ...]:
     return tuple(out)
 
 
-def diagram_sort_key(d: YoungDiagram):
-    return (d.size, tuple(-r for r in d.rows))
-
-
 def render_diagram(d: YoungDiagram) -> str:
     return ",".join(str(r) for r in d.rows) if d.rows else "-"
 
@@ -121,11 +117,10 @@ def emit(args, record: dict, text: str) -> None:
         payload = text if text.endswith("\n") else text + "\n"
     if args.out:
         try:
-            fh = open(args.out, "w")
+            with open(args.out, "w") as fh:
+                fh.write(payload)
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(payload)
     else:
         sys.stdout.write(payload)
 
@@ -170,13 +165,12 @@ def cmd_decompose(args) -> int:
         table = decompose_sp(k, ell, D, P, args.n)
     else:
         table = decompose_o(k, ell, D, P, args.n)
-    ordered = sorted(table.items(), key=lambda fm: diagram_sort_key(fm[0]))
     record = make_record(
         "decompose",
         params,
-        {"table": [[list(f.rows), m] for f, m in ordered]},
+        {"table": [[list(f.rows), m] for f, m in table.items()]},
     )
-    lines = [f"{render_diagram(f):12s} {m}" for f, m in ordered]
+    lines = [f"{render_diagram(f):12s} {m}" for f, m in table.items()]
     emit(args, record, "\n".join(lines) if lines else "(empty)")
     return EXIT_OK
 
@@ -312,7 +306,8 @@ def _table_args(args):
     length of P.  An orthogonal table asserts a rank only when --n is given.
     """
     if args.group == "gl":
-        k, ell = None, args.ell or (args.P or "").count(",") + 1
+        k = None
+        ell = args.ell if args.ell is not None else (args.P or "").count(",") + 1
         params = {"group": "gl", "n": args.n}
     else:
         k, ell = _require_k_ell(args)

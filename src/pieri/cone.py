@@ -6,11 +6,12 @@ linear functionals A, B, C, P read off the grading.  Fibers over a fixed
 multidegree are finite and are enumerated exactly.
 
 The rows of a point form two interlacing chains out of the middle row E,
-one up to F and one down to D.  They are walked on plain row tuples: each
-row of the next link is bounded by the end of the chain, so every link
-walked lies on some chain.  Top chains are memoised within one fiber
-call only; bottom chains, which every F of one (D, P) shares, are cached
-per (E, D, ell).  This route shares no strip enumerator with the tables of
+one up to F and one down to D.  One memoised walker, ``_tails``, walks
+both on plain row tuples: each row of the next link is bounded by the end
+of the chain, so every link walked lies on some chain, and each strip may
+be capped in size.  Top chains are memoised within one fiber call only;
+bottom chains, which every F of one (D, P) shares, are cached per
+(E, D, ell).  This route shares no strip enumerator with the tables of
 :mod:`pieri.algebra` or the Kostka counts of :mod:`pieri.diagrams`.
 """
 
@@ -191,39 +192,34 @@ def count_c_assignments(q, ell: int) -> int:
     return len(_c_assignments(tuple(q), ell))
 
 
-def _reaches(link: tuple, end: tuple, steps: int) -> bool:
-    """True iff ``steps`` horizontal strips lead from ``link`` to ``end``.
+def _tails(link: tuple, end: tuple, caps: tuple, memo: dict):
+    """(steps, links) of every chain from ``link`` up to ``end``, one strip per cap.
 
-    Both are row tuples of one width.  That holds iff link is inside end and
-    no column of end / link is longer than ``steps``: ``end_{i+steps} <= link_i``.
+    Rows are tuples of one width, and strip j adds at most ``caps[j]``
+    boxes.  ``steps`` holds the boxes each strip adds; ``links`` holds the
+    rows after ``link``, ending with ``end``.  Row i of the next link lies in
+    ``max(link_i, end_{i+left}) .. min(end_i, link_{i-1})``, where ``left``
+    strips follow it: these are exactly the links that still reach ``end``,
+    so when the caps do not bind, no link walked is a dead end.  Tails are
+    memoised in ``memo`` per (link, strips left), so one memo serves one
+    (end, caps).
     """
-    return (all(x <= e for x, e in zip(link, end))
-            and all(e <= x for x, e in zip(link, end[steps:])))
-
-
-def _next_links(link: tuple, end: tuple, left: int):
-    """Every diagram one horizontal strip above ``link`` that reaches ``end`` in ``left`` more.
-
-    Rows are tuples of one width.  Row i of such a diagram lies in
-    ``max(link_i, end_{i+left}) .. min(end_i, link_{i-1})``, independently
-    of the other rows, and each of these diagrams does reach ``end``.  So when ``link`` itself reaches ``end`` in ``left + 1`` strips,
-    every range is nonempty and no link is a dead end.
-    """
-    lows = map(max, link, end[left:] + (0,) * left)
-    highs = (end[0],) + tuple(map(min, end[1:], link))
-    return product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
-
-
-def _chains(start: tuple, end: tuple, steps: int):
-    """All interlacing chains start = c_0 <= ... <= c_steps = end, as tuples of row tuples."""
-    if not _reaches(start, end, steps):
-        return
-    if steps == 0:
-        yield (start,)
-        return
-    for link in _next_links(start, end, steps - 1):
-        for tail in _chains(link, end, steps - 1):
-            yield (start,) + tail
+    if not caps:
+        return (((), ()),) if link == end else ()
+    key = (link, len(caps))
+    found = memo.get(key)
+    if found is None:
+        left = len(caps) - 1
+        size, most = sum(link), caps[0]
+        lows = map(max, link, end[left:] + (0,) * left)
+        highs = (end[0],) + tuple(map(min, end[1:], link))
+        found = memo[key] = tuple(
+            ((step,) + steps, (nxt,) + links)
+            for nxt in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
+            if (step := sum(nxt) - size) <= most
+            for steps, links in _tails(nxt, end, caps[1:], memo)
+        )
+    return found
 
 
 @cache
@@ -232,12 +228,13 @@ def _bottom_chains(e_rows: tuple, d_rows: tuple, ell: int):
 
     ``b`` holds the boxes each strip adds; the lower rows are the links
     from D down to the one above E (levels -ell .. -1), end to end.  Every F
-    of one (D, P) shares these.
+    of one (D, P) shares these.  No strip can add more than |D| - |E| boxes,
+    so that cap never binds.
     """
+    caps = (sum(d_rows) - sum(e_rows),) * ell
     return tuple(
-        (tuple(sum(y) - sum(x) for x, y in zip(links, links[1:])),
-         tuple(chain.from_iterable(links[:0:-1])))
-        for links in _chains(e_rows, d_rows, ell)
+        (steps, tuple(chain.from_iterable(links[::-1])))
+        for steps, links in _tails(e_rows, d_rows, caps, {})
     )
 
 
@@ -247,46 +244,28 @@ def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> l
     Boundary rows are pinned, interior rows run over interlacing chains
     from the middle row E outward, and the pair-node values are whatever
     solves the per-index content constraints.  Only the E that reach both
-    F and D are tried, and each link of a chain is walked within the row
-    bounds that keep its end reachable, so no walk is a dead end.  The top
-    chains (E to F), whose j-th strip is capped at p_j boxes, are memoised
-    for this call only, as (steps, rows) tails per (link, links left).  The
-    bottom chains (E to D) are cached per (E, D, ell), since every F of one
-    (D, P) shares them.
+    F and D are tried, and both chains are walked by the one walker
+    ``_tails``, within the row bounds that keep the chain's end reachable.
+    The top chains (E to F), whose j-th strip is capped at p_j boxes, are
+    memoised for this call only.  The bottom chains (E to D) are cached per
+    (E, D, ell), since every F of one (D, P) shares them.
 
     A point's values are laid out in canonical element order: the rows
-    below level 0 from the bottom chain, rows 0..ell from the top chain,
-    then the pair values.  The result is sorted lexicographically by value
-    vector.
+    below level 0 from the bottom chain, rows 0..ell from the top chain
+    (row ``level`` is the first k + level entries of its link), then the
+    pair values.  The result is sorted lexicographically by value vector.
     """
     k, ell = poset.k, poset.ell
     F, D, P = _validated_triple(k, ell, F, D, P)
     f_rows, d_rows = F.padded(k + ell), D.padded(k)
-    tails: dict = {}
-
-    def top_tails(link: tuple, left: int):
-        """(steps, rows) of every way up from ``link`` to F in ``left`` strips."""
-        if not left:
-            return (((), ()),)
-        found = tails.get((link, left))
-        if found is None:
-            level = ell - left + 1
-            size, most = sum(link), P[level - 1]
-            found = tuple(
-                ((step,) + steps, nxt[:k + level] + rows)
-                for nxt in _next_links(link, f_rows, left - 1)
-                if (step := sum(nxt) - size) <= most
-                for steps, rows in top_tails(nxt, left - 1)
-            )
-            tails[link, left] = found
-        return found
-
+    memo: dict = {}
     point = ConePoint._trusted
     points = []
     for e_rows in _middle_candidates(f_rows, d_rows, ell, sum(P)):
         lowers = _bottom_chains(e_rows, d_rows, ell)
-        for a, rows in top_tails(e_rows + (0,) * ell, ell):
-            upper = e_rows + rows
+        for a, links in _tails(e_rows + (0,) * ell, f_rows, P, memo):
+            upper = e_rows + tuple(chain.from_iterable(
+                link[:k + level] for level, link in enumerate(links, 1)))
             for b, lower in lowers:
                 q = tuple(p - x - y for p, x, y in zip(P, a, b))
                 if min(q) >= 0:

@@ -18,12 +18,15 @@ not here.
 
 Tables run on canonical row tuples, not on diagrams.  The strip kernels
 ``_added_strips`` and ``_removed_strips`` take and yield row tuples, and a
-step gives ``(rows, ways)`` pairs.  Both table steps, the GL one here and
-the orthogonal one in :mod:`pieri.algebra`, are cached per (rows, step
-size, row cap) and keep each distinct row tuple and each distinct pair
-once through ``_interned``.  Each table wraps only the row tuples the pass
-ends with in diagrams, through ``YoungDiagram._trusted``, which skips the
-validation that ``YoungDiagram(...)`` does.
+step gives ``(rows, ways)`` pairs.  The GL step here, ``_gl_step``, is the
+one place strips are added: the orthogonal step in :mod:`pieri.algebra`
+removes a strip and then takes the cached GL step from what is left.
+Both steps are cached per (rows, step size, row cap) and keep each
+distinct row tuple and each distinct pair once through ``_interned``.
+``_ordered_table`` wraps only the row tuples a pass ends with in
+diagrams, through ``YoungDiagram._trusted`` (which skips the validation
+that ``YoungDiagram(...)`` does), and puts them in table order: by size,
+then reverse-lexicographically.
 """
 
 from __future__ import annotations
@@ -237,15 +240,14 @@ def _strip_rows(base: tuple, caps: tuple, size: int, sign: int):
         yield from rec(0, size)
 
 
-def _added_strips(rows: tuple, size: int, max_rows: int | None = None):
+def _added_strips(rows: tuple, size: int, max_rows: int):
     """Row tuples of every diagram interlacing ``rows`` from above, ``size`` boxes more.
 
     ``rows`` is canonical.  Row j of such a diagram lies in ``rows_j ..
     rows_{j-1}`` (row 0 has no upper bound), and it has at most ``max_rows``
-    rows (None: no cap).  The results are canonical and in lexicographic
-    order.
+    rows.  The results are canonical and in lexicographic order.
     """
-    depth = len(rows) + 1 if max_rows is None else min(len(rows) + 1, max_rows)
+    depth = min(len(rows) + 1, max_rows)
     if len(rows) > depth:
         return
     base = rows + (0,) * (depth - len(rows))
@@ -294,6 +296,16 @@ def frontier_rows(start: tuple, steps, successors) -> dict[tuple, int]:
     return frontier
 
 
+def _ordered_table(table: dict[tuple, int]) -> dict[YoungDiagram, int]:
+    """A frontier's ``{rows: multiplicity}`` wrapped in diagrams and put in table order.
+
+    Table order is by size, then reverse-lexicographic: the order of every
+    table the library returns and the CLI prints.
+    """
+    ordered = sorted(table.items(), key=lambda fm: (sum(fm[0]), [-r for r in fm[0]]))
+    return {YoungDiagram._trusted(rows): m for rows, m in ordered}
+
+
 def bounded_diagrams(bound: tuple[int, ...]):
     """All diagrams fitting under the (weakly decreasing) row bound."""
 
@@ -330,16 +342,16 @@ def _compositions(total: int, caps: tuple[int, ...]):
 def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     """Decompose a GL_n tensor product with one-row factors of sizes ``p``.
 
-    Returns ``{F: multiplicity}`` over diagrams F with at most ``n`` rows;
-    the multiplicity is the number of interlacing chains from ``d`` to F
-    whose step sizes are the entries of ``p``.
+    Returns ``{F: multiplicity}`` over diagrams F with at most ``n`` rows,
+    in table order (by size, then reverse-lexicographically); the
+    multiplicity is the number of interlacing chains from ``d`` to F whose
+    step sizes are the entries of ``p``.
     """
     p = as_composition(p)
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
     check_rank("gl", None, None, n, d)
-    table = frontier_rows(d.rows, p, lambda rows, step: _gl_step(rows, step, n))
-    return {YoungDiagram._trusted(rows): mult for rows, mult in table.items()}
+    return _ordered_table(frontier_rows(d.rows, p, lambda rows, step: _gl_step(rows, step, n)))
 
 
 @cache

@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import pieri
 from pieri.cli import build_parser, main
 
@@ -76,6 +78,8 @@ def test_gl_rank_errors_exit_2():
                                 "--P", "1", "--F", "2"]),
         ("requires the rank n", ["decompose", "--group", "gl", "--P", "1"]),
         ("requires the rank n", ["mult", "--group", "gl", "--P", "1", "--F", "1"]),
+        ("longer than 0", ["decompose", "--group", "gl", "--n", "3", "--ell", "0",
+                           "--P", "1,1"]),
     ):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == "", argv
@@ -286,6 +290,16 @@ def test_unwritable_out_exits_1(tmp_path):
                              "--P", "1", "--F", "2", "--out", str(target))
     assert code == 1 and out == ""
     assert err.startswith("usage error: cannot write --out")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_exits_1():
+    # /dev/full opens but refuses every write: the error comes from write or close
+    code, out, err = run_cli("decompose", "--k", "1", "--ell", "1", "--D", "1",
+                             "--P", "1", "--out", "/dev/full")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: cannot write --out /dev/full")
     assert len(err.splitlines()) == 1
 
 

@@ -13,9 +13,7 @@ from pieri.cone import (
     ConePoint,
     MultiDegree,
     _c_assignments,
-    _chains,
-    _next_links,
-    _reaches,
+    _tails,
     count_c_assignments,
     enumerate_fiber,
     is_member,
@@ -339,32 +337,39 @@ padded_rows = st.lists(st.integers(0, 3), max_size=WIDTH).map(
     lambda parts: tuple(sorted(parts, reverse=True)) + (0,) * (WIDTH - len(parts)))
 
 
-@given(start=padded_rows, end=padded_rows, steps=st.integers(0, 3))
+@given(start=padded_rows, end=padded_rows, data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_chains_match_brute_force(start, end, steps):
-    got = list(_chains(start, end, steps))
-    want = brute_chains(start, end, steps)
-    assert len(got) == len(set(got))
-    assert set(got) == set(want)
-    assert _reaches(start, end, steps) == bool(want)
+def test_chains_match_brute_force(start, end, data):
+    # the walker gives exactly the brute-force chains whose j-th strip adds
+    # at most caps[j] boxes, each once, with the boxes each strip adds
+    caps = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
+    got = _tails(start, end, caps, {})
+    want = [chain for chain in brute_chains(start, end, len(caps))
+            if all(sum(b) - sum(a) <= cap for a, b, cap in zip(chain, chain[1:], caps))]
+    chains = [(start,) + links for _, links in got]
+    assert len(chains) == len(set(chains))
+    assert set(chains) == set(want)
+    for steps, links in got:
+        sizes = tuple(sum(b) - sum(a) for a, b in zip((start,) + links, links))
+        assert steps == sizes
 
 
 @given(end=padded_rows, data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_next_links_have_no_dead_ends(end, data):
-    # a link that reaches end in left + 1 strips steps to exactly the
-    # links that still reach end in left, and each of them starts a chain
+    # when no cap binds, every link the walker visits starts a chain to end:
+    # each memoised tail is nonempty, and the links are those on some chain
     link = data.draw(st.sampled_from(rows_inside(end)))
-    left = data.draw(st.integers(0, 3))
-    if not _reaches(link, end, left + 1):
-        assert brute_chains(link, end, left + 1) == []
+    left = data.draw(st.integers(1, 4))
+    memo = {}
+    got = _tails(link, end, (sum(end),) * left, memo)
+    want = brute_chains(link, end, left)
+    assert bool(got) == bool(want)
+    if not want:
         return
-    links = list(_next_links(link, end, left))
-    assert len(links) == len(set(links))
-    assert set(links) == {chain[1] for chain in brute_chains(link, end, left + 1)}
-    for nxt in links:
-        assert interlaces(nxt, link)
-        assert brute_chains(nxt, end, left), (link, nxt, end, left)
+    assert all(memo.values()), [key for key, tails in memo.items() if not tails]
+    walked = {key[0] for key in memo}
+    assert walked == {chain[i] for chain in want for i in range(left)}
 
 
 def test_module_caches_do_not_grow_with_f():

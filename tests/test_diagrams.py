@@ -4,7 +4,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pieri.algebra import _newell_littlewood_step
+from pieri.algebra import _newell_littlewood_step, decompose_o
 from pieri.diagrams import (
     EMPTY,
     SkewShape,
@@ -62,7 +62,7 @@ def all_chains(start, steps):
         chains = [
             ch + (ext,)
             for ch in chains
-            for ext in _added_strips(ch[-1], size)
+            for ext in _added_strips(ch[-1], size, len(ch[-1]) + 1)
         ]
     return chains
 
@@ -169,6 +169,21 @@ def test_gl_iterated_pieri_matches_kostka():
                 assert mult == kostka(SkewShape(f, d), p), (d, p, f)
 
 
+def test_tables_come_in_table_order():
+    # every table iterates by size, then reverse-lexicographically
+    def in_order(table):
+        keys = [f.rows for f in table]
+        return keys == sorted(keys, key=lambda rows: (sum(rows), [-r for r in rows]))
+
+    assert list(gl_iterated_pieri(YoungDiagram((1,)), (1, 1), 3)) == [
+        YoungDiagram((3,)), YoungDiagram((2, 1)), YoungDiagram((1, 1, 1))]
+    for d_rows, p, n in [((2, 1), (2, 1, 1), 4), ((), (3, 2, 1), 3), ((1, 1), (2, 2), 5)]:
+        assert in_order(gl_iterated_pieri(YoungDiagram(d_rows), p, n)), (d_rows, p, n)
+    for k, ell, d_rows, p in [(1, 1, (1,), (2,)), (2, 2, (2, 1), (2, 1)),
+                              (3, 3, (3, 2, 1), (3, 3, 3))]:
+        assert in_order(decompose_o(k, ell, d_rows, p)), (k, ell, d_rows, p)
+
+
 def test_kostka_equals_chain_count_exhaustive():
     # the shape/content <-> chain bijection, checked for all |F| <= 6
     diagrams = [d for n in range(7) for d in partitions_of(n, 4)]
@@ -240,7 +255,7 @@ def test_interlaces_reflexive(d):
 @settings(max_examples=40, deadline=None)
 def test_strip_extension_is_interlacing(d, data):
     size = data.draw(st.integers(min_value=0, max_value=3))
-    for ext in _added_strips(d.rows, size):
+    for ext in _added_strips(d.rows, size, len(d) + 1):
         assert interlaces(ext, d)
         assert sum(ext) == d.size + size
 
@@ -264,7 +279,8 @@ def test_strip_removal_examples():
 
 def test_frontier_rows_counts_paths():
     # two unit steps from the empty diagram: (2) and (1, 1) one way each
-    table = frontier_rows((), (1, 1), lambda rows, p: ((f, 1) for f in _added_strips(rows, p)))
+    table = frontier_rows((), (1, 1),
+                          lambda rows, p: ((f, 1) for f in _added_strips(rows, p, len(rows) + 1)))
     assert table == {(2,): 1, (1, 1): 1}
     # a successor counted twice counts twice, as one pair of weight 2 or as two pairs
     assert frontier_rows((), (0, 0), lambda rows, p: [(rows, 2)]) == {(): 4}
@@ -288,9 +304,8 @@ def diagrams_inside(bound):
 def test_row_kernels_match_brute_force(d, data):
     rows = d.rows
     size = data.draw(st.integers(min_value=0, max_value=3))
-    cap = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
-    depth = len(rows) + 1 if cap is None else cap
-    up = list(_added_strips(rows, size, cap))
+    depth = data.draw(st.sampled_from([len(rows) + 1, 1, 2, 3, 4]))
+    up = list(_added_strips(rows, size, depth))
     want_up = [f for f in diagrams_inside((d.size + size,) * depth)
                if sum(f) == d.size + size and interlaces(f, rows)]
     assert up == sorted(want_up)
