@@ -23,10 +23,10 @@ from typing import NamedTuple
 from .cone import (
     ConePoint,
     MultiDegree,
+    _fiber_blocks,
     _order_preserving,
     _validated_triple,
     count_c_assignments,
-    enumerate_fiber,
 )
 from .diagrams import (
     EMPTY,
@@ -280,8 +280,13 @@ def multiplicity(k: int, ell: int, F, D, P) -> int:
 
 
 def multiplicity_via_cone(k: int, ell: int, F, D, P) -> int:
-    """Lattice-point route: the cardinality of the fiber over (F, D, P)."""
-    return len(enumerate_fiber(GammaPoset(k, ell), F, D, P))
+    """Lattice-point route: the cardinality of the fiber over (F, D, P).
+
+    Each block of the fiber is a product of chain and pair-value lists, so
+    the count multiplies their lengths and builds no point.
+    """
+    return sum(len(lowers) * len(uppers) * len(cs)
+               for lowers, uppers, cs in _fiber_blocks(k, ell, F, D, P))
 
 
 def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagram, int]:

@@ -7,19 +7,23 @@ multidegree are finite and are enumerated exactly.
 
 The rows of a point form two interlacing chains out of the middle row E,
 one up to F and one down to D.  One memoised walker, ``_tails``, walks
-both on plain row tuples: each row of the next link is bounded by the end
-of the chain, so every link walked lies on some chain, and each strip may
-be capped in size.  Top chains are memoised within one fiber call only;
-bottom chains, which every F of one (D, P) shares, are cached per
-(E, D, ell).  This route shares no strip enumerator with the tables of
-:mod:`pieri.algebra` or the Kostka counts of :mod:`pieri.diagrams`.
+both on plain row tuples, each strip capped in size: each row of the next
+link is bounded by the end of the chain, and the caps left must hold the
+boxes still missing, so no link walked is a dead end unless a cap below
+the chain end's width binds.  Top chains are memoised within one fiber
+call only; bottom chains, which every F of one (D, P) shares, are cached
+per (E, D, ell).  A fiber is a union of blocks, one per pair of step
+vectors (a, b), each a product of chain and pair-value lists, so it is
+counted without building its points.  This route shares no strip
+enumerator with the tables of :mod:`pieri.algebra` or the Kostka counts
+of :mod:`pieri.diagrams`.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import chain, product
-from operator import ge
+from operator import ge, le, sub
 from typing import NamedTuple
 
 from .diagrams import YoungDiagram, _compositions, as_composition
@@ -199,8 +203,12 @@ def _tails(link: tuple, end: tuple, caps: tuple, memo: dict):
     boxes.  ``steps`` holds the boxes each strip adds; ``links`` holds the
     rows after ``link``, ending with ``end``.  Row i of the next link lies in
     ``max(link_i, end_{i+left}) .. min(end_i, link_{i-1})``, where ``left``
-    strips follow it: these are exactly the links that still reach ``end``,
-    so when the caps do not bind, no link walked is a dead end.  Tails are
+    strips follow it, and their caps must add up to at least the boxes it
+    lacks of ``end``.  These are exactly the links that still reach ``end``
+    whenever each of those caps is at least ``end[0]``, so then no link
+    walked is a dead end.  A smaller cap can leave one: the link (0, 0)
+    with caps (0, 2) left below end (1, 1) has room for both boxes, but
+    they share a column, so they need two strips with room.  Tails are
     memoised in ``memo`` per (link, strips left), so one memo serves one
     (end, caps).
     """
@@ -209,33 +217,58 @@ def _tails(link: tuple, end: tuple, caps: tuple, memo: dict):
     key = (link, len(caps))
     found = memo.get(key)
     if found is None:
-        left = len(caps) - 1
-        size, most = sum(link), caps[0]
+        left, rest = len(caps) - 1, caps[1:]
+        size, least = sum(link), sum(end) - sum(rest)
         lows = map(max, link, end[left:] + (0,) * left)
         highs = (end[0],) + tuple(map(min, end[1:], link))
         found = memo[key] = tuple(
-            ((step,) + steps, (nxt,) + links)
+            ((total - size,) + steps, (nxt,) + links)
             for nxt in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
-            if (step := sum(nxt) - size) <= most
-            for steps, links in _tails(nxt, end, caps[1:], memo)
+            if least <= (total := sum(nxt)) <= size + caps[0]
+            for steps, links in _tails(nxt, end, rest, memo)
         )
     return found
 
 
 @cache
 def _bottom_chains(e_rows: tuple, d_rows: tuple, ell: int):
-    """(b, lower rows) of every chain from E up to D in ell strips.
+    """(b, lowers) for every step vector b of a chain from E up to D in ell strips.
 
-    ``b`` holds the boxes each strip adds; the lower rows are the links
-    from D down to the one above E (levels -ell .. -1), end to end.  Every F
-    of one (D, P) shares these.  No strip can add more than |D| - |E| boxes,
-    so that cap never binds.
+    ``b`` holds the boxes each strip adds; each entry of ``lowers`` holds the
+    rows of one chain with that b, from D down to the link above E (levels
+    -ell .. -1), end to end.  Every F of one (D, P) shares these.  No strip
+    can add more than |D| - |E| boxes, so that cap never binds.
     """
     caps = (sum(d_rows) - sum(e_rows),) * ell
-    return tuple(
-        (steps, tuple(chain.from_iterable(links[::-1])))
-        for steps, links in _tails(e_rows, d_rows, caps, {})
-    )
+    groups: dict = {}
+    for steps, links in _tails(e_rows, d_rows, caps, {}):
+        groups.setdefault(steps, []).append(tuple(chain.from_iterable(links[::-1])))
+    return tuple((b, tuple(lowers)) for b, lowers in groups.items())
+
+
+def _fiber_blocks(k: int, ell: int, F, D, P):
+    """(lowers, uppers, cs) for each nonempty block of the fiber over (F, D, P).
+
+    A block's points are ``lower + upper + c`` for every lower, upper and c.
+    Only the E that reach both F and D are tried.  The top chains (E to F),
+    whose j-th strip is capped at p_j boxes, are memoised for this fiber
+    only and grouped by ``room`` = P - a; the bottom chains (E to D) come
+    grouped by b.  Each (room, b) with b <= room is a block, whose pair
+    values c are the assignments with sums room - b.
+    """
+    F, D, P = _validated_triple(k, ell, F, D, P)
+    f_rows, d_rows = F.padded(k + ell), D.padded(k)
+    memo: dict = {}
+    for e_rows in _middle_candidates(f_rows, d_rows, ell, sum(P)):
+        rooms: dict = {}
+        for a, links in _tails(e_rows + (0,) * ell, f_rows, P, memo):
+            upper = e_rows + tuple(chain.from_iterable(
+                link[:k + level] for level, link in enumerate(links, 1)))
+            rooms.setdefault(tuple(map(sub, P, a)), []).append(upper)
+        for room, uppers in rooms.items():
+            for b, lowers in _bottom_chains(e_rows, d_rows, ell):
+                if all(map(le, b, room)) and (cs := _c_assignments(tuple(map(sub, room, b)), ell)):
+                    yield lowers, uppers, cs
 
 
 def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> list[ConePoint]:
@@ -243,34 +276,25 @@ def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> l
 
     Boundary rows are pinned, interior rows run over interlacing chains
     from the middle row E outward, and the pair-node values are whatever
-    solves the per-index content constraints.  Only the E that reach both
-    F and D are tried, and both chains are walked by the one walker
-    ``_tails``, within the row bounds that keep the chain's end reachable.
-    The top chains (E to F), whose j-th strip is capped at p_j boxes, are
-    memoised for this call only.  The bottom chains (E to D) are cached per
-    (E, D, ell), since every F of one (D, P) shares them.
+    solves the per-index content constraints.  ``_fiber_blocks`` walks both
+    chains with the one walker ``_tails`` and pairs them by step vector, so
+    ``b <= P - a`` is tested once per pair of distinct vectors, not once
+    per pair of chains.
 
     A point's values are laid out in canonical element order: the rows
     below level 0 from the bottom chain, rows 0..ell from the top chain
     (row ``level`` is the first k + level entries of its link), then the
     pair values.  The result is sorted lexicographically by value vector.
     """
-    k, ell = poset.k, poset.ell
-    F, D, P = _validated_triple(k, ell, F, D, P)
-    f_rows, d_rows = F.padded(k + ell), D.padded(k)
-    memo: dict = {}
     point = ConePoint._trusted
-    points = []
-    for e_rows in _middle_candidates(f_rows, d_rows, ell, sum(P)):
-        lowers = _bottom_chains(e_rows, d_rows, ell)
-        for a, links in _tails(e_rows + (0,) * ell, f_rows, P, memo):
-            upper = e_rows + tuple(chain.from_iterable(
-                link[:k + level] for level, link in enumerate(links, 1)))
-            for b, lower in lowers:
-                q = tuple(p - x - y for p, x, y in zip(P, a, b))
-                if min(q) >= 0:
-                    head = lower + upper
-                    points += [point(poset, head + c) for c in _c_assignments(q, ell)]
+    points = [
+        point(poset, head + c)
+        for lowers, uppers, cs in _fiber_blocks(poset.k, poset.ell, F, D, P)
+        for upper in uppers
+        for lower in lowers
+        for head in (lower + upper,)
+        for c in cs
+    ]
     points.sort(key=lambda pt: pt.values)
     return points
 

@@ -114,20 +114,17 @@ class GammaPoset:
         self._pos = {el: i for i, el in enumerate(elements)}
         self.eps_elements: tuple[Eps, ...] = self.elements[self.eps_slice]
 
-        n = len(elements)
-        up = [set() for _ in range(n)]  # strict covers-from-generators: b -> {a : a >= b}
-
-        def add(greater, lesser):
-            up[self._pos[lesser]].add(self._pos[greater])
-
+        up = [set() for _ in elements]  # strict covers-from-generators: b -> {a : a >= b}
+        # Gamma(level, j) sits at index at[level] + j
+        at = {level: row.start - 1 for level, row in self._row_slices.items()}
         for s in range(ell):
-            for j in range(1, self.row_length(s) + 1):
-                add(Gamma(s + 1, j), Gamma(s, j))
-                add(Gamma(s, j), Gamma(s + 1, j + 1))
+            for j in range(1, k + s + 1):
+                up[at[s] + j].add(at[s + 1] + j)
+                up[at[s + 1] + j + 1].add(at[s] + j)
             for j in range(1, k + 1):
-                add(Gamma(-s - 1, j), Gamma(-s, j))
+                up[at[-s] + j].add(at[-s - 1] + j)
             for j in range(1, k):
-                add(Gamma(-s, j), Gamma(-s - 1, j + 1))
+                up[at[-s - 1] + j + 1].add(at[-s] + j)
 
         self._up_generators = tuple(tuple(sorted(t)) for t in up)
         # (greater, lesser) index pairs, for fast order-preservation checks

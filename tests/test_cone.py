@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -36,6 +37,7 @@ from pieri.diagrams import (
     bounded_diagrams,
     gl_iterated_pieri,
     kostka,
+    partitions_of,
 )
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
 from pieri.polyring import PolyRing
@@ -355,31 +357,44 @@ def test_chains_match_brute_force(start, end, data):
 
 
 @given(end=padded_rows, data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_next_links_have_no_dead_ends(end, data):
-    # when no cap binds, every link the walker visits starts a chain to end:
+    # every link the walker steps into has room in the caps left for the
+    # boxes it lacks of end; when each cap after the first is at least end[0]
+    # (as when they do not bind), every such link starts a chain to end:
     # each memoised tail is nonempty, and the links are those on some chain
     link = data.draw(st.sampled_from(rows_inside(end)))
-    left = data.draw(st.integers(1, 4))
+    caps = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
     memo = {}
-    got = _tails(link, end, (sum(end),) * left, memo)
-    want = brute_chains(link, end, left)
+    got = _tails(link, end, caps, memo)
+    want = [chain for chain in brute_chains(link, end, len(caps))
+            if all(sum(b) - sum(a) <= cap for a, b, cap in zip(chain, chain[1:], caps))]
     assert bool(got) == bool(want)
-    if not want:
+    for walked, left in set(memo) - {(link, len(caps))}:
+        assert sum(end) - sum(walked) <= sum(caps[len(caps) - left:]), (walked, left)
+    if not want or min(caps[1:], default=end[0]) < end[0]:
         return
     assert all(memo.values()), [key for key, tails in memo.items() if not tails]
-    walked = {key[0] for key in memo}
-    assert walked == {chain[i] for chain in want for i in range(left)}
+    assert set(memo) == {(chain[i], len(caps) - i) for chain in want for i in range(len(caps))}
+
+
+# one large (k, ell, D, P) group, and every F whose fiber over it may have points
+LARGE = (1, 4, (3,), (3, 2, 2, 1))
+
+
+def large_candidates():
+    k, ell, D, P = LARGE
+    total = sum(D) + sum(P)
+    return [f for f in bounded_diagrams((total,) * (k + ell))
+            if f.size <= total and (total - f.size) % 2 == 0]
 
 
 def test_module_caches_do_not_grow_with_f():
     # every F of one (D, P) group: the module-level caches are bounded by
     # counts that do not involve F, so a cache keyed by F shows up here
-    k, ell, D, P = 1, 4, (3,), (3, 2, 2, 1)
+    k, ell, D, P = LARGE
     poset = GammaPoset(k, ell)
-    total = sum(D) + sum(P)
-    candidates = [f for f in bounded_diagrams((total,) * (k + ell))
-                  if f.size <= total and (total - f.size) % 2 == 0]
+    candidates = large_candidates()
     caches = {name: obj for name, obj in vars(cone).items() if hasattr(obj, "cache_info")}
     assert set(caches) == {"_bottom_chains", "_c_assignments"}
     for fn in caches.values():
@@ -391,6 +406,35 @@ def test_module_caches_do_not_grow_with_f():
     # pair assignments: one entry per (q, j) with q <= P[:j] entrywise
     prefixes = sum(math.prod(p + 1 for p in P[:j]) for j in range(1, ell + 1))
     assert caches["_c_assignments"].cache_info().currsize <= prefixes
+
+
+def test_large_group_point_lists_are_pinned():
+    # the value vectors of the 84 fibers of the large group, in candidate
+    # order, each fiber closed by ";": any change to a point or to the order
+    # of a point list changes the digest
+    k, ell, D, P = LARGE
+    poset = GammaPoset(k, ell)
+    digest = hashlib.sha256()
+    for F in large_candidates():
+        for pt in enumerate_fiber(poset, F, D, P):
+            digest.update(repr(pt.values).encode())
+        digest.update(b";")
+    assert digest.hexdigest() == "dac79a1c0e71254db5ae0e4e4697add40008cc5e73d86530cc4e81d565b14084"
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (1, 4)])
+def test_fiber_count_is_the_fiber_size(k, ell):
+    # the range of the oracle suite: |D| <= 2, P in {0, 1, 2}^ell, every F;
+    # from ell = 4 on, a block can have several pair assignments
+    poset = GammaPoset(k, ell)
+    for dsize in range(3):
+        for d in partitions_of(dsize, k):
+            for p in itertools.product(range(3), repeat=ell):
+                hi = d.size + sum(p)
+                for fsize in range(hi % 2, hi + 1, 2):
+                    for f in partitions_of(fsize, k + ell):
+                        fiber = enumerate_fiber(poset, f, d, p)
+                        assert multiplicity_via_cone(k, ell, f, d, p) == len(fiber), (f, d, p)
 
 
 def test_non_integral_input_is_refused():

@@ -150,3 +150,24 @@ def test_canonical_element_order():
     assert p.elements[:3] == (Gamma(-2, 1), Gamma(-1, 1), Gamma(0, 1))
     assert p.elements[-1] == Eps(1, 2)
     assert p.index(Gamma(-2, 1)) == 0
+
+
+def test_generating_relations_match_the_rule_on_elements():
+    # the relations, built from row offsets, are the generating rule of the
+    # module docstring applied to the Gamma elements themselves
+    for k in range(1, 6):
+        for ell in range(1, 6):
+            p = GammaPoset(k, ell)
+            up = [set() for _ in p.elements]
+            for s in range(ell):
+                for j in range(1, p.row_length(s) + 1):
+                    up[p.index(Gamma(s, j))].add(p.index(Gamma(s + 1, j)))
+                    up[p.index(Gamma(s + 1, j + 1))].add(p.index(Gamma(s, j)))
+                for j in range(1, k + 1):
+                    up[p.index(Gamma(-s, j))].add(p.index(Gamma(-s - 1, j)))
+                for j in range(1, k):
+                    up[p.index(Gamma(-s - 1, j + 1))].add(p.index(Gamma(-s, j)))
+            generators = tuple(tuple(sorted(ups)) for ups in up)
+            assert p._up_generators == generators, (k, ell)
+            assert p.relation_index_pairs == tuple(
+                (a, b) for b, ups in enumerate(generators) for a in ups), (k, ell)
