@@ -23,23 +23,22 @@ from typing import NamedTuple
 from .cone import (
     ConePoint,
     MultiDegree,
+    _c_assignments,
     _fiber_blocks,
     _order_preserving,
     _validated_triple,
-    count_c_assignments,
 )
 from .diagrams import (
     EMPTY,
-    SkewShape,
     YoungDiagram,
     _compositions,
+    _diagrams_under,
     _gl_step,
     _interned,
+    _kostka,
     _ordered_table,
     _removed_strips,
-    bounded_diagrams,
     frontier_rows,
-    kostka,
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import GammaPoset, check_rank, eps_pairs
@@ -252,30 +251,30 @@ def subduct(ctx: PieriContext, p: Polynomial) -> tuple[StandardCombination, Poly
 def multiplicity(k: int, ell: int, F, D, P) -> int:
     """Skew-Kostka convolution route to the tensor product multiplicity.
 
-    Sums ``K_{F/E,A} * K_{D/E,B}`` over middle diagrams E and exponent
-    splittings (A, B, C) whose combined content is P.
+    Sums ``K_{F/E,A} * K_{D/E,B} * #C`` over middle diagrams E and exponent
+    splittings (A, B, C) whose combined content is P, where #C counts the
+    pair assignments with sums P - A - B.  The inputs are validated once;
+    the sum runs on row tuples.  E lies inside both F and D, and the two
+    strips add |F| - |E| + |D| - |E| <= |P| boxes, so |E| runs from
+    ceil((|F| + |D| - |P|) / 2) up to |min(F, D)|.
     """
     F, D, P = _validated_triple(k, ell, F, D, P)
-    total_p = sum(P)
+    f_rows, d_rows = F.rows, D.rows
+    bound = tuple(map(min, f_rows, d_rows))
     total = 0
-    for e_diag in bounded_diagrams(tuple(min(F.row(i), D.row(i)) for i in range(k))):
-        need_a = F.size - e_diag.size
-        need_b = D.size - e_diag.size
-        if need_a > total_p or need_b > total_p:
-            continue
-        shape_f = SkewShape(F, e_diag)
-        shape_d = SkewShape(D, e_diag)
-        for a in _compositions(need_a, P):
-            kf = kostka(shape_f, a)
-            if not kf:
-                continue
-            caps_b = tuple(p - x for p, x in zip(P, a))
-            for b in _compositions(need_b, caps_b):
-                kd = kostka(shape_d, b)
-                if not kd:
+    for size in range(max(0, (F.size + D.size - sum(P) + 1) // 2), sum(bound) + 1):
+        for e_rows in _diagrams_under(size, bound):
+            for a in _compositions(F.size - size, P):
+                kf = _kostka(f_rows, e_rows, a)
+                if not kf:
                     continue
-                q = tuple(p - x - y for p, x, y in zip(P, a, b))
-                total += kf * kd * count_c_assignments(q, ell)
+                caps_b = tuple(p - x for p, x in zip(P, a))
+                for b in _compositions(D.size - size, caps_b):
+                    kd = _kostka(d_rows, e_rows, b)
+                    if not kd:
+                        continue
+                    q = tuple(p - x - y for p, x, y in zip(P, a, b))
+                    total += kf * kd * len(_c_assignments(q, ell))
     return total
 
 

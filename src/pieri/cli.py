@@ -115,7 +115,7 @@ def emit(args, record: dict, text: str) -> None:
         payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
     else:
         payload = text if text.endswith("\n") else text + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(payload)

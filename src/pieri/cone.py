@@ -101,9 +101,9 @@ class ConePoint:
 
     __slots__ = ("poset", "values")
 
-    def __init__(self, poset: GammaPoset, values, validate: bool = True):
+    def __init__(self, poset: GammaPoset, values):
         vals = _values_tuple(poset, values)
-        if validate and not _order_preserving(poset, vals):
+        if not _order_preserving(poset, vals):
             raise ValueError(f"values {vals} are not order preserving / nonnegative")
         self.poset = poset
         self.values = vals
@@ -189,11 +189,6 @@ def _c_assignments(q: tuple[int, ...], ell: int) -> tuple[tuple[int, ...], ...]:
         for last in _compositions(q[-1], q[:-1])
         for head in _c_assignments(tuple(x - y for x, y in zip(q[:-1], last)), ell - 1)
     )
-
-
-def count_c_assignments(q, ell: int) -> int:
-    """Number of nonneg pair assignments whose per-index sums equal ``q``."""
-    return len(_c_assignments(tuple(q), ell))
 
 
 def _tails(link: tuple, end: tuple, caps: tuple, memo: dict):

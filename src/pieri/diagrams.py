@@ -27,6 +27,10 @@ distinct row tuple and each distinct pair once through ``_interned``.
 diagrams, through ``YoungDiagram._trusted`` (which skips the validation
 that ``YoungDiagram(...)`` does), and puts them in table order: by size,
 then reverse-lexicographically.
+
+``_kostka`` counts on the outer and inner row tuples too, and
+``_diagrams_under`` is the one bounded-diagram enumerator: ``partitions_of``
+and the convolution of :mod:`pieri.algebra` both walk diagrams with it.
 """
 
 from __future__ import annotations
@@ -125,17 +129,7 @@ class SkewShape:
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         """All (row, col) boxes, column-major (the Kostka counter's fill order)."""
-        out = self.outer.rows
-        width = out[0] if out else 0
-        return tuple(
-            (r, c)
-            for c in range(width)
-            for r in range(len(out))
-            if self.inner.row(r) <= c < out[r]
-        )
-
-    def has_cell(self, r: int, c: int) -> bool:
-        return 0 <= r < len(self.outer.rows) and self.inner.row(r) <= c < self.outer.row(r)
+        return _skew_cells(self.outer.rows, self.inner.rows)
 
     def __eq__(self, other):
         if not isinstance(other, SkewShape):
@@ -161,18 +155,27 @@ def as_composition(parts, length: int | None = None) -> tuple[int, ...]:
     return t
 
 
+def _skew_cells(outer: tuple, inner: tuple) -> tuple[tuple[int, int], ...]:
+    """Every (row, col) box of ``outer / inner`` (canonical rows), column-major."""
+    inner = inner + (0,) * (len(outer) - len(inner))
+    width = outer[0] if outer else 0
+    return tuple(
+        (r, c) for c in range(width) for r in range(len(outer)) if inner[r] <= c < outer[r]
+    )
+
+
 @cache
 def _kostka(outer: tuple, inner: tuple, content: tuple) -> int:
-    """Count the semistandard fillings by backtracking over the cells.
+    """Count the semistandard fillings of ``outer / inner`` by backtracking over the cells.
 
     Cells are filled column by column, so both the left and the upper
-    neighbour of the current cell are already placed; row/column feasibility
-    prunes each branch immediately.
+    neighbour of the current cell, read off ``inner``, are already placed;
+    row/column feasibility prunes each branch immediately.
     """
-    shape = SkewShape(YoungDiagram(outer), YoungDiagram(inner))
-    cells = shape.cells()
+    cells = _skew_cells(outer, inner)
     if sum(content) != len(cells):
         return 0
+    inner = inner + (0,) * (len(outer) - len(inner))
     remaining = list(content)
     m = len(content)
     grid: dict[tuple[int, int], int] = {}
@@ -182,9 +185,9 @@ def _kostka(outer: tuple, inner: tuple, content: tuple) -> int:
             return 1
         r, c = cells[idx]
         lo = 1
-        if shape.has_cell(r, c - 1):
+        if c > inner[r]:
             lo = max(lo, grid[(r, c - 1)])
-        if shape.has_cell(r - 1, c):
+        if r and c >= inner[r - 1]:
             lo = max(lo, grid[(r - 1, c)] + 1)
         count = 0
         for v in range(lo, m + 1):
@@ -306,22 +309,6 @@ def _ordered_table(table: dict[tuple, int]) -> dict[YoungDiagram, int]:
     return {YoungDiagram._trusted(rows): m for rows, m in ordered}
 
 
-def bounded_diagrams(bound: tuple[int, ...]):
-    """All diagrams fitting under the (weakly decreasing) row bound."""
-
-    def rec(j, cap):
-        if j == len(bound):
-            yield ()
-            return
-        for v in range(min(bound[j], cap) + 1):
-            for rest in rec(j + 1, v):
-                yield (v,) + rest
-
-    start_cap = bound[0] if bound else 0
-    for rows in rec(0, start_cap):
-        yield YoungDiagram(rows)
-
-
 def _compositions(total: int, caps: tuple[int, ...]):
     """All tuples with 0 <= t_i <= caps[i] summing to ``total`` (none if it is negative)."""
 
@@ -374,17 +361,28 @@ def gl_dim(d: YoungDiagram, n: int) -> int:
     return int(dim)
 
 
-def partitions_of(n: int, max_rows: int) -> list[YoungDiagram]:
-    """All diagrams of size ``n`` with at most ``max_rows`` rows."""
+def _diagrams_under(size: int, bound: tuple):
+    """Rows of every diagram of ``size`` boxes inside the weakly decreasing row ``bound``.
 
-    def rec(rem, cap, rows_left):
+    Reverse-lexicographic order, no zero rows.  Row j is at most ``bound_j``
+    and row j - 1, and at least what the rows below can't hold: no dead ends.
+    """
+
+    def rec(j, rem, cap):
         if rem == 0:
             yield ()
             return
-        if rows_left == 0:
+        if j == len(bound):
             return
-        for first in range(min(rem, cap), 0, -1):
-            for rest in rec(rem - first, first, rows_left - 1):
-                yield (first,) + rest
+        for v in range(min(rem, cap, bound[j]), 0, -1):
+            if rem - v > sum(min(b, v) for b in bound[j + 1:]):
+                return
+            for rest in rec(j + 1, rem - v, v):
+                yield (v,) + rest
 
-    return [YoungDiagram(rows) for rows in rec(n, n, max_rows)]
+    yield from rec(0, size, size)
+
+
+def partitions_of(n: int, max_rows: int) -> list[YoungDiagram]:
+    """All diagrams of size ``n`` with at most ``max_rows`` rows, in reverse-lexicographic order."""
+    return [YoungDiagram._trusted(rows) for rows in _diagrams_under(n, (n,) * max_rows)]

@@ -29,6 +29,10 @@ from .diagrams import SkewShape, kostka, partitions_of
 from .hibi import increasing_sets
 from .poset import GammaPoset, check_rank
 
+LM_SAMPLES, HW_SAMPLES, SAMPLE_SEED = 100, 40, 0  # sampled cone points of suite_lm, suite_hw
+MAX_TERMS = 3  # indicator generators in one sampled point, at most
+ORACLE_MAX_D, ORACLE_MAX_P = 2, 2  # suite_oracle: |D| and the parts of P, at most
+
 
 @dataclass
 class SuiteResult:
@@ -76,24 +80,24 @@ def all_upward_closed_subsets(poset: GammaPoset) -> list[frozenset]:
     return found
 
 
-def sample_members(ctx: PieriContext, count: int, max_terms: int = 3, seed: int = 0):
-    """Cone points drawn as short random sums of indicator generators."""
+def sample_members(ctx: PieriContext, count: int, seed: int):
+    """Cone points drawn as sums of at most ``MAX_TERMS`` random indicator generators."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         g = zero_point(ctx.poset)
-        for _ in range(rng.randint(0, max_terms)):
+        for _ in range(rng.randint(0, MAX_TERMS)):
             g = g + rng.choice(ctx.lattice).chi()
         out.append(g)
     return out
 
 
-def suite_lm(k: int, ell: int, n: int, samples: int = 100, seed: int = 0) -> SuiteResult:
+def suite_lm(k: int, ell: int, n: int) -> SuiteResult:
     """Leading monomial of every generator product equals its prediction."""
     res = SuiteResult("lm")
     ctx = PieriContext(n, k, ell)
     points = [a.chi() for a, _ in ctx.generators]
-    points += sample_members(ctx, samples, seed=seed)
+    points += sample_members(ctx, LM_SAMPLES, SAMPLE_SEED)
     for g in points:
         res.checked += 1
         got = eta_of(ctx, g).leading_monomial()
@@ -136,15 +140,13 @@ def suite_hibi(k: int, ell: int, n: int | None = None) -> SuiteResult:
     return res
 
 
-def suite_oracle(
-    k: int, ell: int, n: int | None = None, max_d: int = 2, max_p: int = 2
-) -> SuiteResult:
+def suite_oracle(k: int, ell: int, n: int | None = None) -> SuiteResult:
     """Fiber cardinalities against the convolution and the frontier DP table, with blocks."""
     res = SuiteResult("oracle")
     poset = GammaPoset(k, ell)
-    for dsize in range(max_d + 1):
+    for dsize in range(ORACLE_MAX_D + 1):
         for d in partitions_of(dsize, k):
-            for p in itertools.product(range(max_p + 1), repeat=ell):
+            for p in itertools.product(range(ORACLE_MAX_P + 1), repeat=ell):
                 table = decompose_o(k, ell, d, p)
                 walked = set()
                 hi = d.size + sum(p)
@@ -197,7 +199,7 @@ def suite_subduction(k: int, ell: int, n: int) -> SuiteResult:
     return res
 
 
-def suite_hw(k: int, ell: int, n: int, samples: int = 40, seed: int = 0) -> SuiteResult:
+def suite_hw(k: int, ell: int, n: int) -> SuiteResult:
     """Generators are annihilated and gradings agree with cone degrees."""
     res = SuiteResult("hw")
     ctx = PieriContext(n, k, ell)
@@ -207,7 +209,7 @@ def suite_hw(k: int, ell: int, n: int, samples: int = 40, seed: int = 0) -> Suit
             res.failures.append(f"generator of {a!r} is not annihilated")
         if multidegree_of_polynomial(ctx, eta) != a.chi().degree():
             res.failures.append(f"grading mismatch on generator of {a!r}")
-    for g in sample_members(ctx, samples, seed=seed):
+    for g in sample_members(ctx, HW_SAMPLES, SAMPLE_SEED):
         res.checked += 1
         if multidegree_of_polynomial(ctx, eta_of(ctx, g)) != g.degree():
             res.failures.append(f"grading mismatch at {g.values}")

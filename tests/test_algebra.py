@@ -100,7 +100,7 @@ def test_eta_of_refuses_negative_values(ctx11):
     values = [0] * len(ctx11.poset)
     values[ctx11.poset.index(Gamma(0, 1))] = -1
     with pytest.raises(ValueError, match="negative value"):
-        eta_of(ctx11, ConePoint(ctx11.poset, values, validate=False))
+        eta_of(ctx11, ConePoint._trusted(ctx11.poset, tuple(values)))
 
 
 def test_lemma_lm_formula_all_keys(ctx21):
@@ -205,7 +205,10 @@ def test_invert_predicted_lm_refuses_a_tuple_of_another_length(ctx11):
 
 
 def test_multiplicity_examples():
-    assert multiplicity(1, 1, (2,), (1,), (1,)) == 1
+    # at ell = 1 there are no pair nodes, so the two strips add exactly |P|
+    # boxes and every E that counts has the least size (|F| + |D| - |P|) / 2
+    assert multiplicity(1, 1, (2,), (1,), (1,)) == 1  # E = (1)
+    assert multiplicity(2, 1, (2, 1), (2, 1), (2,)) == 2  # E = (2) and (1, 1)
     assert multiplicity(1, 1, (), (1,), (1,)) == 1
     assert multiplicity(1, 1, (1,), (1,), (1,)) == 0
     for k, ell, d in [(1, 1, (3,)), (2, 2, (2, 1))]:

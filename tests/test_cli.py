@@ -303,6 +303,15 @@ def test_out_write_failure_exits_1():
     assert len(err.splitlines()) == 1
 
 
+def test_empty_out_name_exits_1():
+    # an empty file name cannot be opened; it must not fall back to stdout
+    code, out, err = run_cli("mult", "--k", "1", "--ell", "1", "--D", "1",
+                             "--P", "1", "--F", "2", "--out", "")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: cannot write --out")
+    assert len(err.splitlines()) == 1
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli("mult", "--group", "o", "--k", "1", "--ell", "1",
@@ -312,15 +321,29 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["result"]["multiplicity"] == 1
 
 
-def run_fresh(*argv):
-    """``pieri`` in a new process, whose parser has parsed nothing before."""
-    # the child imports the same pieri as this process, installed or not
+def run_python(*argv):
+    """A new Python process that imports the same pieri as this one, installed or not."""
     src = str(Path(pieri.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "pieri.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_fresh(*argv):
+    """``pieri`` in a new process, whose parser has parsed nothing before."""
+    return run_python("-m", "pieri.cli", *argv)
+
+
+def test_imports_only_the_standard_library():
+    # -S keeps the .pth hooks of site-packages out, so every module loaded
+    # besides the -c script is the interpreter's own or one that pieri, its
+    # CLI or its suites import
+    code, out, err = run_python(
+        "-S", "-c", "import sys, pieri, pieri.cli, pieri.verify; print(*sys.modules)")
+    assert code == 0, err
+    top = {name.partition(".")[0] for name in out.split()} - {"__main__", "pieri"}
+    assert sorted(top - set(sys.stdlib_module_names)) == []
 
 
 def test_module_invocation_subprocess():

@@ -10,6 +10,7 @@ from pieri.diagrams import (
     SkewShape,
     YoungDiagram,
     _added_strips,
+    _diagrams_under,
     _gl_step,
     _removed_strips,
     as_composition,
@@ -237,6 +238,20 @@ def test_dimension_bookkeeping():
 def test_partitions_of():
     assert [d.rows for d in partitions_of(4, 2)] == [(4,), (3, 1), (2, 2)]
     assert partitions_of(0, 3) == [EMPTY]
+
+
+@given(bound=st.lists(st.integers(0, 4), max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True))),
+       size=st.integers(-1, 17))
+@settings(max_examples=200, deadline=None)
+def test_diagrams_under_matches_brute_force(bound, size):
+    got = list(_diagrams_under(size, bound))
+    # every weakly decreasing tuple inside the bound with that size, in
+    # reverse-lexicographic order, zero rows trimmed
+    want = [tuple(r for r in rows if r)
+            for rows in itertools.product(*[range(b, -1, -1) for b in bound])
+            if sum(rows) == size and all(x >= y for x, y in zip(rows, rows[1:]))]
+    assert got == want
+    assert len(set(got)) == len(got) and all(all(rows) for rows in got)
 
 
 @st.composite

@@ -316,8 +316,7 @@ def test_standard_decomposition_rejects_non_member():
     p = GammaPoset(1, 1)
     # Gamma(0, 1) <= Gamma(1, 1), so this point is not order preserving;
     # built unchecked, it must be refused by the decomposition itself
-    bad = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): 1,
-                        Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    bad = ConePoint._trusted(p, (0, 1, 0, 0))
     with pytest.raises(ValueError, match="is not upward closed"):
         standard_decomposition(bad)
 
@@ -325,8 +324,7 @@ def test_standard_decomposition_rejects_non_member():
 def test_standard_decomposition_rejects_negative_values():
     p = GammaPoset(1, 1)
     # no level set sees the -1, so only an explicit sign check refuses it
-    bad = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): -1,
-                        Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    bad = ConePoint._trusted(p, (0, -1, 0, 0))
     assert not is_member(p, bad.values)
     with pytest.raises(ValueError, match="negative value"):
         standard_decomposition(bad)
@@ -387,13 +385,11 @@ def test_lattice_operations_return_the_posets_own_sets():
 
 def test_standard_decomposition_error_messages():
     p = GammaPoset(1, 1)
-    not_closed = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): 1,
-                               Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    not_closed = ConePoint._trusted(p, (0, 1, 0, 0))
     with pytest.raises(ValueError) as exc:
         standard_decomposition(not_closed)
     assert str(exc.value) == "{Gamma(0, 1)} is not upward closed"
-    negative = ConePoint(p, {Gamma(-1, 1): 0, Gamma(0, 1): -1,
-                             Gamma(1, 1): 0, Gamma(1, 2): 0}, validate=False)
+    negative = ConePoint._trusted(p, (0, -1, 0, 0))
     with pytest.raises(ValueError) as exc:
         standard_decomposition(negative)
     assert str(exc.value) == "negative value in (0, -1, 0, 0): not a cone point"
