@@ -42,7 +42,7 @@ from .diagrams import (
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
 from .poset import GammaPoset, check_rank, eps_pairs
-from .polyring import Monomial, Polynomial, PolyRing, Variable
+from .polyring import _FIELD_MASK, Monomial, Polynomial, PolyRing, Variable, _polynomial
 
 
 class PieriContext:
@@ -69,7 +69,14 @@ class PieriContext:
         self.generators = tuple(generators)
         assert all(not eta.is_zero() for _, eta in self.generators)
         self._etas = dict(self.generators)
-        self._raising = tuple(map(ring.compile_derivation, self.raising_derivations()))
+        moves = self._raising_moves()
+        self._raising = tuple(map(ring.compile_derivation, _raising_tables(ring, moves)))
+        # a variable that no derivation reads or writes keeps its exponent
+        # under all of them: the pure pairings, and rx[1, j] when k = 1
+        touched = {v for pairs in moves for pair in pairs for v in pair}
+        self._touched = reduce(or_, (_FIELD_MASK << ring._shifts[ring.rank(v)] for v in touched))
+        self._inert = ring._exponents_mask & ~self._touched
+        self._hw_memo = {}
         self._lm_layout = _lm_layout(self.poset, ring)
 
     def eta(self, a_set: IncreasingSet) -> Polynomial:
@@ -86,28 +93,31 @@ class PieriContext:
         matrix columns and cross pairings left (sizes k-1); the pure pairing
         variables are inert under both.
         """
-        ring = self.ring
-        tables = []
-        for i in range(1, self.n):
-            table = {
-                Variable("x", i + 1, c): ring.x(i, c) for c in range(1, self.k + 1)
-            }
-            table.update(
-                {Variable("y", i + 1, j): ring.y(i, j) for j in range(1, self.ell + 1)}
+        return _raising_tables(self.ring, self._raising_moves())
+
+    def _raising_moves(self):
+        """Per raising derivation, its (variable, image variable) pairs."""
+        n, k, ell = self.n, self.k, self.ell
+        moves = []
+        for i in range(1, n):
+            moves.append(
+                [(Variable("x", i + 1, c), Variable("x", i, c)) for c in range(1, k + 1)]
+                + [(Variable("y", i + 1, j), Variable("y", i, j)) for j in range(1, ell + 1)]
             )
-            tables.append(table)
-        for i in range(1, self.k):
-            table = {
-                Variable("x", a, i + 1): ring.x(a, i) for a in range(1, self.n + 1)
-            }
-            table.update(
-                {Variable("rx", i + 1, j): ring.rx(i, j) for j in range(1, self.ell + 1)}
+        for i in range(1, k):
+            moves.append(
+                [(Variable("x", a, i + 1), Variable("x", a, i)) for a in range(1, n + 1)]
+                + [(Variable("rx", i + 1, j), Variable("rx", i, j)) for j in range(1, ell + 1)]
             )
-            tables.append(table)
-        return tuple(tables)
+        return moves
 
     def __repr__(self):
         return f"PieriContext(n={self.n}, k={self.k}, ell={self.ell})"
+
+
+def _raising_tables(ring: PolyRing, moves) -> tuple:
+    """One derivation table per list of (variable, image variable) pairs."""
+    return tuple({v: ring.var(w) for v, w in pairs} for pairs in moves)
 
 
 def _key_determinant(ring: PolyRing, c: int, I, J) -> Polynomial:
@@ -337,13 +347,35 @@ def decompose_sp(k: int, ell: int, D, P, n: int) -> dict[YoungDiagram, int]:
 def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
     """True iff every raising derivation annihilates ``p``.
 
-    A derivation none of whose variables occurs in ``p`` annihilates it, so
-    only those whose support meets the OR of ``p``'s monomials are applied.
+    No derivation reads or writes an inert variable (a pure pairing, or
+    rx[1, j] when k = 1), so D(rho * q) = rho * D(q) for a monomial rho in
+    them, and the terms of D(p) from monomials of different inert parts
+    never cancel.  ``p`` is therefore split by the inert part of its
+    monomials, and each piece is checked on its other (touched) fields and
+    coefficients alone.  That answer is kept in a per-context memo, so a
+    piece is differentiated at most once per context: every generator
+    det(c, I, J) * rho(Z) with the same (c, I, J) reuses one check.  On a
+    miss, only the derivations whose support meets the OR of the piece's
+    monomials are applied; the others annihilate it.
     """
     ring = ctx.ring
     ring._check_ring(p)
-    present = reduce(or_, p._terms, 0)
-    return all(ring.apply_derivation(p, d).is_zero() for d in ctx._raising if d[0] & present)
+    inert, touched, memo = ctx._inert, ctx._touched, ctx._hw_memo
+    pieces: dict = {}
+    for m, c in p._terms.items():
+        pieces.setdefault(m & inert, []).append((m & touched, c))
+    for part, pairs in pieces.items():
+        key = frozenset(pairs)
+        ok = memo.get(key)
+        if ok is None:
+            piece = _polynomial(ring, {m: c for m, c in p._terms.items() if m & inert == part})
+            present = reduce(or_, piece._terms, 0)
+            ok = memo[key] = all(
+                ring.apply_derivation(piece, d).is_zero() for d in ctx._raising if d[0] & present
+            )
+        if not ok:
+            return False
+    return True
 
 
 def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:

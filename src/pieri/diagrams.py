@@ -384,5 +384,11 @@ def _diagrams_under(size: int, bound: tuple):
 
 
 def partitions_of(n: int, max_rows: int) -> list[YoungDiagram]:
-    """All diagrams of size ``n`` with at most ``max_rows`` rows, in reverse-lexicographic order."""
+    """All diagrams of size ``n`` with at most ``max_rows`` rows, in reverse-lexicographic order.
+
+    Both arguments must be integers >= 0; anything else raises ValueError.
+    """
+    n, max_rows = _int_tuple((n, max_rows))
+    if n < 0 or max_rows < 0:
+        raise ValueError(f"need n >= 0 and max_rows >= 0, got ({n}, {max_rows})")
     return [YoungDiagram._trusted(rows) for rows in _diagrams_under(n, (n,) * max_rows)]

@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,6 +423,75 @@ def test_highest_weight_skips_only_derivations_that_miss(ctx21):
             p = p + rng.choice(pool) * rng.choice(polys)
         want = all(ring.apply_derivation(p, d).is_zero() for d in ctx21._raising)
         assert highest_weight_check(ctx21, p) == want
+
+
+def test_highest_weight_memo_splits_by_inert_part():
+    # x11*x22 - x12*x21 is a determinant, so highest weight; with the pure
+    # pairing r[3,4] on one term only it is not, although both have the same
+    # touched fields and coefficients.  A memo hit must not carry an answer
+    # across inert parts, in either order.
+    ctx = PieriContext(9, 2, 2)
+    ring = ctx.ring
+    det = ring.x(1, 1) * ring.x(2, 2) - ring.x(1, 2) * ring.x(2, 1)
+    mixed = ring.rr(1, 2) * ring.x(1, 1) * ring.x(2, 2) - ring.x(1, 2) * ring.x(2, 1)
+    assert highest_weight_check(ctx, det)
+    assert not highest_weight_check(ctx, mixed)
+    assert highest_weight_check(ctx, det)
+    assert highest_weight_check(ctx, ring.rr(1, 2) * det)
+
+
+@pytest.fixture(scope="module")
+def shared_contexts():
+    # k = 1 makes rx[1, j] inert as well as the pure pairings
+    return PieriContext(9, 2, 2), PieriContext(7, 1, 2)
+
+
+@given(which=st.integers(0, 1),
+       summands=st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(0, 10**6),
+                                   st.lists(st.integers(0, 10**6), max_size=3)),
+                         min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_highest_weight_memo_matches_every_derivation(shared_contexts, which, summands):
+    ctx = shared_contexts[which]
+    ring = ctx.ring
+    # pairings keep a generator highest weight and matrix variables mostly do
+    # not; the shared context answers later draws from its memo
+    pairings = [v for v in ring.variables if v.kind in ("rr", "rx")]
+    pool = pairings * 3 + [Variable("x", 1, 1)] * 3 + list(ring.variables)
+    p = ring.zero()
+    for sign, g, factors in summands:
+        term = ctx.generators[g % len(ctx.generators)][1] * sign
+        for f in factors:
+            term = term * ring.var(pool[f % len(pool)])
+        p = p + term
+    want = all(ring.apply_derivation(p, d).is_zero() for d in ctx._raising)
+    assert highest_weight_check(ctx, p) == want
+
+
+def test_highest_weight_differentiates_each_determinant_once(monkeypatch):
+    ctx = PieriContext(11, 2, 3)
+    ring = ctx.ring
+    differentiated = []
+    apply = ring.apply_derivation
+
+    def recording(p, d):
+        differentiated.append(p)
+        return apply(p, d)
+
+    monkeypatch.setattr(ring, "apply_derivation", recording)
+    keys = {}
+    for a_set, eta in ctx.generators:
+        keys.setdefault((a_set.c, a_set.I, a_set.J), eta)
+    assert (len(ctx.generators), len(keys)) == (768, 96)
+    # each determinant is checked once; one that no derivation reads (1,
+    # x[1,1], ...) is annihilated without being differentiated
+    supports = reduce(or_, (d[0] for d in ctx._raising))
+    read = sum(1 for eta in keys.values() if supports & reduce(or_, eta._terms))
+    assert read == 79
+    for _ in range(2):
+        assert all(highest_weight_check(ctx, eta) for _, eta in ctx.generators)
+        assert len(ctx._hw_memo) == len(keys)
+        assert len({id(p) for p in differentiated}) == read
 
 
 def test_multidegree_examples(ctx11):

@@ -238,6 +238,10 @@ def test_dimension_bookkeeping():
 def test_partitions_of():
     assert [d.rows for d in partitions_of(4, 2)] == [(4,), (3, 1), (2, 2)]
     assert partitions_of(0, 3) == [EMPTY]
+    assert partitions_of(3, 0) == []
+    for n, max_rows in [(2, -1), (-1, 2), (2.5, 2), (2, 2.5), ("2", 2), (None, 2)]:
+        with pytest.raises(ValueError):
+            partitions_of(n, max_rows)
 
 
 @given(bound=st.lists(st.integers(0, 4), max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True))),
@@ -280,7 +284,9 @@ def test_strip_extension_is_interlacing(d, data):
 def test_strip_removal_matches_interlacing(d, data):
     size = data.draw(st.integers(min_value=0, max_value=d.size + 1))
     got = list(_removed_strips(d.rows, size))
-    want = [g.rows for g in partitions_of(d.size - size, max(len(d), 1)) if interlaces(d, g)]
+    # a strip of more boxes than d has leaves nothing to remove it from
+    want = [g.rows for g in partitions_of(d.size - size, max(len(d), 1))
+            if interlaces(d, g)] if size <= d.size else []
     assert len(got) == len(set(got))
     assert set(got) == set(want)
 
