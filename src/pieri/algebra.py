@@ -55,16 +55,21 @@ class PieriContext:
         self.ring = ring = PolyRing(n, k, ell)
         self.lattice = increasing_sets(self.poset)
         # up-sets that differ only in Z share their (c, I, J) determinant, and
-        # each is shifted by the single-term pairing monomial of its Z
+        # each is shifted by the single-term pairing monomial of its Z; every
+        # determinant is a minor of one matrix, and all share one minor memo
+        cells, unit = _generator_matrix(ring)
+        degree, minors = ring._degree_bound(cells), {}
         determinants, pairings = {}, {}
         generators = []
         for a_set in self.lattice:
             key, Z = (a_set.c, a_set.I, a_set.J), a_set.Z
             if key not in determinants:
-                determinants[key] = _key_determinant(ring, *key)
+                c, I, J = key
+                rows = tuple(range(c + len(J))) + tuple(k + ell + i - 1 for i in sorted(I))
+                cols = tuple(range(c + len(I))) + tuple(k + j - 1 for j in sorted(J))
+                determinants[key] = _polynomial(ring, ring._minor(cells, degree, minors, rows, cols))
             if Z not in pairings:
-                mono = ring.monomial({Variable("rr", e.s, e.t): 1 for e in Z})
-                pairings[Z] = Polynomial(ring, {mono: 1})
+                pairings[Z] = _polynomial(ring, {sum(unit["rr", e.s, e.t] for e in Z): 1})
             generators.append((a_set, determinants[key] * pairings[Z]))
         self.generators = tuple(generators)
         assert all(not eta.is_zero() for _, eta in self.generators)
@@ -120,22 +125,26 @@ def _raising_tables(ring: PolyRing, moves) -> tuple:
     return tuple({v: ring.var(w) for v, w in pairs} for pairs in moves)
 
 
-def _key_determinant(ring: PolyRing, c: int, I, J) -> Polynomial:
-    """The determinant of a row-profile key (c, I, J), which must be valid.
+def _generator_matrix(ring: PolyRing) -> tuple[list, dict]:
+    """The matrix whose minors are the generator determinants, and the variable units.
 
-    Rows 1..c+|J| hold matrix columns 1..c+|I| followed by the vector
-    columns indexed by J; below them one cross-pairing row per element of
-    I, padded with zeros under the vector columns.  The stable range keeps
-    c + |J| <= k + ell below n.
+    Rows 1..k+ell hold [x(a, 1..k) | y(a, 1..ell)]; below them, for
+    i = 1..ell, the cross-pairing row [rx(1..k, i) | 0].  det(c, I, J) is
+    the minor on rows 1..c+|J| followed by the cross-pairing rows of I
+    ascending, and on the matrix columns 1..c+|I| followed by the vector
+    columns of J ascending.  No generator reads an x-row past k + ell, as
+    c + |J| <= k + ell, and the stable range keeps k + ell below n.  Entries
+    are packed term dicts; the units are keyed by (kind, i, j).
     """
-    I, J = sorted(I), sorted(J)
-    cols = range(1, c + len(I) + 1)
-    matrix = [
-        [ring.x(a, col) for col in cols] + [ring.y(a, j) for j in J]
-        for a in range(1, c + len(J) + 1)
+    k, ell = ring.k, ring.ell
+    unit = {(v.kind, v.i, v.j): u for v, u in zip(ring.variables, ring._units)}
+    cells = [
+        [{unit["x", a, j]: 1} for j in range(1, k + 1)]
+        + [{unit["y", a, j]: 1} for j in range(1, ell + 1)]
+        for a in range(1, k + ell + 1)
     ]
-    matrix += [[ring.rx(col, i) for col in cols] + [ring.zero()] * len(J) for i in I]
-    return ring.determinant(matrix)
+    cells += [[{unit["rx", j, i]: 1} for j in range(1, k + 1)] + [{}] * ell for i in range(1, ell + 1)]
+    return cells, unit
 
 
 def eta_of(ctx: PieriContext, g: ConePoint) -> Polynomial:

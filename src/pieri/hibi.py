@@ -140,15 +140,16 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     for el in Z:
         if not isinstance(el, Eps) or el not in poset:
             raise ValueError(f"{el!r} is not a pair node of {poset!r}")
-    return _from_key(poset, _row_widths(poset), c, I, J, Z)
+    row_part = _row_part(poset, _row_widths(poset), c, I, J)
+    return _assembled(poset, c, I, J, Z, row_part, _pair_part(poset, Z))
 
 
 def _row_widths(poset: GammaPoset) -> tuple[int, ...]:
     return tuple(poset.row_length(level) for level in range(-poset.ell, poset.ell + 1))
 
 
-def _from_key(poset: GammaPoset, widths: tuple, c: int, I, J, Z) -> IncreasingSet:
-    """The increasing set of a valid key (frozensets I, J, Z kept as given), rows ``widths`` long."""
+def _row_part(poset: GammaPoset, widths: tuple, c: int, I, J) -> tuple[tuple, tuple]:
+    """(row indicator values, row counts by level) of a valid (c, I, J), rows ``widths`` long."""
     ell = poset.ell
     counts = [c] * (2 * ell + 1)  # row counts by level + ell
     for s in range(1, ell + 1):
@@ -157,9 +158,18 @@ def _from_key(poset: GammaPoset, widths: tuple, c: int, I, J, Z) -> IncreasingSe
     values = []
     for count, width in zip(counts, widths):
         values += [1] * count + [0] * (width - count)
-    values += [1 if el in Z else 0 for el in poset.eps_elements]
+    return tuple(values), tuple(counts)
+
+
+def _pair_part(poset: GammaPoset, Z) -> tuple:
+    """The pair-node indicator values of Z."""
+    return tuple(1 if el in Z else 0 for el in poset.eps_elements)
+
+
+def _assembled(poset: GammaPoset, c: int, I, J, Z, row_part: tuple, pair_part: tuple) -> IncreasingSet:
+    """The increasing set of a valid key (frozensets I, J, Z kept as given) from its two parts."""
     a_set = object.__new__(IncreasingSet)
-    a_set.poset, a_set.values, a_set._profile = poset, tuple(values), tuple(counts)
+    a_set.poset, a_set.values, a_set._profile = poset, row_part[0] + pair_part, row_part[1]
     a_set.c, a_set.I, a_set.J, a_set.Z = c, I, J, Z
     return a_set
 
@@ -178,17 +188,23 @@ def _index(poset: GammaPoset) -> dict[tuple, IncreasingSet]:
     """``{values: set}`` over the lattice, in generation order, kept on the poset.
 
     Unions, intersections, level sets and the Hasse diagram look sets up here.
+    Each (c, I, J) row part and each Z pair part is built once.
     """
     if poset._increasing_sets is None:
         k, widths = poset.k, _row_widths(poset)
         # the sets share one frozenset per distinct I, J or Z
-        steps, pairs = _subsets(range(1, poset.ell + 1)), _subsets(poset.eps_elements)
-        sets = (
-            _from_key(poset, widths, c, I, J, Z)
+        steps = _subsets(range(1, poset.ell + 1))
+        pairs = [(Z, _pair_part(poset, Z)) for Z in _subsets(poset.eps_elements)]
+        rows = (
+            (c, I, J, _row_part(poset, widths, c, I, J))
             for c in range(k + 1)
             for I in steps if len(I) <= k - c
             for J in steps
-            for Z in pairs
+        )
+        sets = (
+            _assembled(poset, c, I, J, Z, row_part, pair_part)
+            for c, I, J, row_part in rows
+            for Z, pair_part in pairs
         )
         poset._increasing_sets = {a_set.values: a_set for a_set in sets}
     return poset._increasing_sets

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .poset import check_k_ell, check_rank, eps_pairs
+from .poset import _int_tuple, check_k_ell, check_rank, eps_pairs
 
 Monomial = tuple  # dense exponent tuple, aligned with PolyRing.variables
 
@@ -128,7 +128,7 @@ class PolyRing:
         return _polynomial(self, {})
 
     def constant(self, c: int) -> "Polynomial":
-        c = int(c)
+        (c,) = _int_tuple((c,))
         return _polynomial(self, {0: c} if c else {})
 
     # -- packed monomials --------------------------------------------------
@@ -224,12 +224,9 @@ class PolyRing:
     # -- operations on matrices / derivations -------------------------------
 
     def determinant(self, matrix) -> "Polynomial":
-        """Exact determinant by cofactor expansion along the first rows.
+        """Exact determinant: ``_minor`` over every row and column, with a fresh memo.
 
-        A minor depends only on the columns left once its rows are fixed, so
-        each column subset is expanded once.  The empty matrix gives 1.  No
-        term of any minor has a degree above the sum of the rows' largest
-        entry degrees, which bounds the guard scan of every minor.
+        The empty matrix gives 1.
         """
         size = len(matrix)
         if any(len(row) != size for row in matrix):
@@ -238,22 +235,39 @@ class PolyRing:
             for entry in row:
                 self._check_ring(entry)
         cells = [[entry._terms for entry in row] for row in matrix]
-        degree = sum(max((self._degree(max(e)) for e in row if e), default=0) for row in cells)
-        minors: dict = {(): {0: 1}}
+        whole = tuple(range(size))
+        return _polynomial(self, self._minor(cells, self._degree_bound(cells), {}, whole, whole))
 
-        def expand(cols):
-            if cols not in minors:
-                row = cells[size - len(cols)]
-                total: dict = {}
-                for idx, c in enumerate(cols):
-                    entry = row[c]
-                    if entry:
-                        minor = expand(cols[:idx] + cols[idx + 1:])
-                        self._accumulate(total, entry, minor, -1 if idx % 2 else 1)
-                minors[cols] = self._checked(total, degree)
-            return minors[cols]
+    def _degree_bound(self, cells) -> int:
+        """The sum of the rows' largest entry degrees, which no term of any minor exceeds."""
+        return sum(max((self._degree(max(e)) for e in row if e), default=0) for row in cells)
 
-        return _polynomial(self, expand(tuple(range(size))))
+    def _minor(self, cells, degree: int, memo: dict, rows: tuple, cols: tuple) -> dict:
+        """The packed minor of ``cells`` on ``rows`` x ``cols``, both in the order given.
+
+        ``cells`` holds packed term dicts ({} for a zero entry).  The minor is
+        expanded along the last of ``rows``, and every minor, this one and
+        its cofactors, is kept in ``memo`` by (rows, cols): minors that share
+        their leading rows share their cofactors.  ``degree`` bounds the
+        guard scan of every minor (``_degree_bound``).  The minor of no rows
+        is 1.
+        """
+        key = (rows, cols)
+        terms = memo.get(key)
+        if terms is None:
+            if not rows:
+                return {0: 1}
+            row, head = cells[rows[-1]], rows[:-1]
+            sign = -1 if len(head) % 2 else 1
+            terms = {}
+            for idx, c in enumerate(cols):
+                entry = row[c]
+                if entry:
+                    cofactor = self._minor(cells, degree, memo, head, cols[:idx] + cols[idx + 1:])
+                    self._accumulate(terms, entry, cofactor, sign)
+                sign = -sign
+            terms = memo[key] = self._checked(terms, degree)
+        return terms
 
     def compile_derivation(self, table: dict[Variable, "Polynomial"]):
         """The table as (support, entries, image degree) for ``apply_derivation``.
@@ -308,6 +322,8 @@ class PolyRing:
         return self.apply_derivation(p, self.compile_derivation(table))
 
     def _check_ring(self, p: "Polynomial") -> None:
+        if not isinstance(p, Polynomial):
+            raise ValueError(f"{p!r} is not a polynomial")
         if p.ring is not self and p.ring != self:
             raise ValueError("polynomials live in different rings")
 

@@ -24,7 +24,7 @@ from pieri.cone import ConePoint, zero_point
 from pieri.diagrams import EMPTY, YoungDiagram, partitions_of
 from pieri.hibi import from_cijz
 from pieri.poset import Eps, Gamma, GammaPoset
-from pieri.polyring import Variable
+from pieri.polyring import PolyRing, Variable
 
 
 @pytest.fixture(scope="module")
@@ -373,8 +373,12 @@ def test_subduct_all_pairs_terminate(ctx11, ctx21):
 
 def test_subduct_refuses_a_polynomial_of_another_ring():
     eta = PieriContext(11, 2, 2).eta(from_cijz(GammaPoset(2, 2), 0, (), (1,)))
+    ctx = PieriContext(9, 2, 2)
     with pytest.raises(ValueError, match="different rings"):
-        subduct(PieriContext(9, 2, 2), eta)
+        subduct(ctx, eta)
+    for check in (subduct, highest_weight_check, multidegree_of_polynomial):
+        with pytest.raises(ValueError, match="not a polynomial"):
+            check(ctx, 5)
 
 
 def test_subduct_zero_rejected(ctx11):
@@ -492,6 +496,22 @@ def test_highest_weight_differentiates_each_determinant_once(monkeypatch):
         assert all(highest_weight_check(ctx, eta) for _, eta in ctx.generators)
         assert len(ctx._hw_memo) == len(keys)
         assert len({id(p) for p in differentiated}) == read
+
+
+def test_generator_minors_are_shared(monkeypatch):
+    # every (c, I, J) determinant is a minor of one matrix, expanded along its
+    # last row into one memo: 119 minors for the 96 keys at (11, 2, 3), where
+    # expanding each determinant on its own takes 903
+    expanded = []
+    checked = PolyRing._checked
+
+    def counting(ring, terms, degree):
+        expanded.append(terms)
+        return checked(ring, terms, degree)
+
+    monkeypatch.setattr(PolyRing, "_checked", counting)
+    PieriContext(11, 2, 3)
+    assert len(expanded) == 119
 
 
 def test_multidegree_examples(ctx11):

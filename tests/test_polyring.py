@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pieri.algebra import PieriContext
 from pieri.polyring import EXPONENT_LIMIT, Polynomial, PolyRing, Variable
 
 
@@ -77,12 +78,26 @@ def test_arithmetic_basics(ring):
     assert (p - p).is_zero()
     assert p ** 0 == ring.one()
     assert p ** 2 == sq
+    assert ring.constant(3) == 3 and ring.constant(0).is_zero()
+    # a non-integral constant is refused, not truncated or parsed
+    for bad in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="expected integers"):
+            ring.constant(bad)
 
 
 def test_mixed_ring_rejected(ring):
     other = PolyRing(3, 2, 1)
     with pytest.raises(ValueError):
         ring.x(1, 1) + other.x(1, 1)
+    # an argument that is not a polynomial at all is refused the same way
+    d = ring.compile_derivation({Variable("x", 1, 1): ring.one()})
+    for call in (
+        lambda: ring.apply_derivation(5, d),
+        lambda: ring.determinant([["x"]]),
+        lambda: ring.compile_derivation({Variable("x", 1, 1): 1}),
+    ):
+        with pytest.raises(ValueError, match="not a polynomial"):
+            call()
 
 
 def test_leading_monomial(ring):
@@ -140,6 +155,30 @@ def test_determinant_matches_permutation_sum():
         for _ in range(4):
             m = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
             assert ring.determinant(m) == permutation_determinant(ring, m)
+
+
+@pytest.mark.parametrize("nkl", [(5, 1, 1), (7, 1, 2), (9, 2, 2), (11, 3, 2), (11, 2, 3)])
+def test_generators_match_permutation_determinants(nkl):
+    # the documented matrix of det(c, I, J), built entry by entry and expanded
+    # by the permutation sum: rows 1..c+|J| hold the matrix columns 1..c+|I|,
+    # then the vector columns of J; below them the cross-pairing rows of I,
+    # zero under the vector columns
+    ctx = PieriContext(*nkl)
+    ring = ctx.ring
+    dets = {}
+    for a_set, eta in ctx.generators:
+        key = (a_set.c, a_set.I, a_set.J)
+        if key not in dets:
+            c, I, J = a_set.c, sorted(a_set.I), sorted(a_set.J)
+            cols = range(1, c + len(I) + 1)
+            matrix = [[ring.x(a, col) for col in cols] + [ring.y(a, j) for j in J]
+                      for a in range(1, c + len(J) + 1)]
+            matrix += [[ring.rx(col, i) for col in cols] + [ring.zero()] * len(J) for i in I]
+            dets[key] = permutation_determinant(ring, matrix)
+        rho = ring.one()
+        for e in a_set.Z:
+            rho = rho * ring.rr(e.s, e.t)
+        assert eta == dets[key] * rho, a_set
 
 
 def test_derivation_examples(ring):
