@@ -24,6 +24,7 @@ from .cone import (
     ConePoint,
     MultiDegree,
     _c_assignments,
+    _check_point,
     _fiber_blocks,
     _order_preserving,
     _validated_triple,
@@ -75,7 +76,9 @@ class PieriContext:
         assert all(not eta.is_zero() for _, eta in self.generators)
         self._etas = dict(self.generators)
         moves = self._raising_moves()
-        self._raising = tuple(map(ring.compile_derivation, _raising_tables(ring, moves)))
+        self._raising = tuple(
+            ring.compile_derivation({v: ring.var(w) for v, w in pairs}) for pairs in moves
+        )
         # a variable that no derivation reads or writes keeps its exponent
         # under all of them: the pure pairings, and rx[1, j] when k = 1
         touched = {v for pairs in moves for pair in pairs for v in pair}
@@ -90,15 +93,6 @@ class PieriContext:
             return self._etas[a_set]
         except KeyError:
             raise ValueError(f"{a_set!r} does not belong to this context") from None
-
-    def raising_derivations(self):
-        """Derivation tables whose common kernel is the invariant subalgebra.
-
-        One family moves matrix/vector rows up (sizes n-1), the other moves
-        matrix columns and cross pairings left (sizes k-1); the pure pairing
-        variables are inert under both.
-        """
-        return _raising_tables(self.ring, self._raising_moves())
 
     def _raising_moves(self):
         """Per raising derivation, its (variable, image variable) pairs."""
@@ -118,11 +112,6 @@ class PieriContext:
 
     def __repr__(self):
         return f"PieriContext(n={self.n}, k={self.k}, ell={self.ell})"
-
-
-def _raising_tables(ring: PolyRing, moves) -> tuple:
-    """One derivation table per list of (variable, image variable) pairs."""
-    return tuple({v: ring.var(w) for v, w in pairs} for pairs in moves)
 
 
 def _generator_matrix(ring: PolyRing) -> tuple[list, dict]:
@@ -191,10 +180,9 @@ def lm_predicted(ctx: PieriContext, g: ConePoint) -> Monomial:
     length read as zero), pure pairings the pair-node values.  The
     exponents are linear in ``g``.  A negative one, which only a point that
     is not order preserving can give, raises ValueError, as does a point
-    of another poset.
+    of another poset or an argument that is not a cone point.
     """
-    if g.poset is not ctx.poset and g.poset != ctx.poset:  # identity first: O(1)
-        raise ValueError(f"{g!r} does not belong to this context")
+    _check_point(g, ctx.poset)
     values = g.values
     exps = [0] * ctx.ring.nvars
     for rank, pos, base in ctx._lm_layout:

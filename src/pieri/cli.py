@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     PieriContext,
@@ -37,7 +38,7 @@ from .diagrams import (
     gl_iterated_pieri,
     kostka,
 )
-from .hibi import from_cijz, increasing_sets, lattice_hasse
+from .hibi import _product_parts, from_cijz, lattice_hasse
 from .poset import Eps, Gamma, GammaPoset, check_rank
 from .verify import run_suites
 
@@ -102,17 +103,48 @@ def render_diagram(d: YoungDiagram) -> str:
     return ",".join(str(r) for r in d.rows) if d.rows else "-"
 
 
-def point_record(pt) -> dict:
+def point_record(pt, eps_names) -> dict:
+    """A cone point's rows by level and its pair values under ``eps_names`` ("s,t", poset order)."""
     ell = pt.poset.ell
     return {
         "rows": {str(i): list(pt.row(i)) for i in range(-ell, ell + 1)},
-        "eps": {f"{e.s},{e.t}": pt.value(e) for e in pt.poset.eps_elements},
+        "eps": dict(zip(eps_names, pt.eps_values())),
     }
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a value nested at indent ``pad``.
+
+    Dict keys must be strings.  Strings and ints are written directly, and a
+    list of only one of them in one pass; any other leaf by ``json.dumps``,
+    on which the indent has no effect.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(key) + ": " + _json(obj[key], inner) for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, obj))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, obj) if scalar is not None else [_json(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj)
 
 
 def emit(args, record: dict, text: str) -> None:
     if args.json:
-        payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        payload = _json(record) + "\n"
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if args.out is not None:
@@ -186,7 +218,8 @@ def cmd_cone(args) -> int:
     result: dict = {"count": len(fiber)}
     if args.list:
         args.json = True  # the point list is a JSON-only format
-        result["points"] = [point_record(pt) for pt in fiber]
+        eps_names = [f"{e.s},{e.t}" for e in poset.eps_elements]
+        result["points"] = [point_record(pt, eps_names) for pt in fiber]
     record = make_record("cone", params, result)
     emit(args, record, str(len(fiber)))
     return EXIT_OK
@@ -213,17 +246,19 @@ def cmd_lattice(args) -> int:
     k, ell = _require_k_ell(args)
     poset = GammaPoset(k, ell)
 
-    def label(s) -> str:
-        body = "(" + ",".join(str(a) for a in s.profile()) + ")"
-        if s.Z:
-            body += ";Z=" + "+".join(f"{e.s}:{e.t}" for e in sorted(
-                s.Z, key=lambda e: (e.t, e.s)))
-        return body
-
-    labels = {s.values: label(s) for s in increasing_sets(poset)}
-    nodes = list(labels.values())
-    edges = [(labels[lower.values], labels[upper.values]) for upper, lower in lattice_hasse(poset)]
+    # each set joins a row part and a pair part, and so does its label
+    sets, row_parts, pair_parts = _product_parts(poset)
+    rows = ["(" + ",".join(map(str, s.profile())) + ")" for s in row_parts]
+    pairs = [";Z=" + "+".join(_pair_names(s.Z)) if s.Z else "" for s in pair_parts]
+    nodes = [row + z for row in rows for z in pairs]
+    labels = {id(s): label for s, label in zip(sets, nodes)}
+    edges = [(labels[id(lower)], labels[id(upper)]) for upper, lower in lattice_hasse(poset)]
     return _emit_graph(args, "lattice", {"k": k, "ell": ell}, nodes, edges)
+
+
+def _pair_names(Z) -> list[str]:
+    """The pair nodes of Z as "s:t", in poset order."""
+    return [f"{e.s}:{e.t}" for e in sorted(Z, key=lambda e: (e.t, e.s))]
 
 
 def _emit_graph(args, command, params, nodes, edges) -> int:
@@ -260,7 +295,7 @@ def cmd_eta(args) -> int:
         "eta",
         {"k": k, "ell": ell, "n": args.n, "c": args.c,
          "I": sorted(a_set.I), "J": sorted(a_set.J),
-         "Z": [f"{e.s}:{e.t}" for e in sorted(a_set.Z, key=lambda e: (e.t, e.s))]},
+         "Z": _pair_names(a_set.Z)},
         {"polynomial": str(eta), "lm": lm},
     )
     emit(args, record, f"{eta}\nLM: {lm}")

@@ -170,6 +170,14 @@ class ConePoint:
         return f"ConePoint({self.poset!r}, {self.values!r})"
 
 
+def _check_point(g, poset: GammaPoset | None = None) -> None:
+    """Refuse a ``g`` that is not a cone point, or, given ``poset``, one of another poset."""
+    if not isinstance(g, ConePoint):
+        raise ValueError(f"{g!r} is not a cone point")
+    if poset is not None and g.poset is not poset and g.poset != poset:  # identity first: O(1)
+        raise ValueError(f"{g!r} does not belong to this context")
+
+
 def zero_point(poset: GammaPoset) -> ConePoint:
     return ConePoint._trusted(poset, (0,) * len(poset))
 

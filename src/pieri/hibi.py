@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .cone import ConePoint, _order_preserving, zero_point
+from .cone import ConePoint, _check_point, _order_preserving, zero_point
 from .poset import Eps, GammaPoset, _int_tuple
 
 
@@ -241,9 +241,10 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
     With v_1 < ... < v_m the distinct positive values, the set where
     ``f >= v_t`` gets coefficient ``v_t - v_{t-1}``; the terms are stored
     smallest set first, so the sets are strictly nested ascending.  A
-    negative value, or a level set that is not upward closed, raises
-    ValueError.
+    negative value, a level set that is not upward closed, or an ``f`` that
+    is not a cone point raises ValueError.
     """
+    _check_point(f)
     poset = f.poset
     if any(v < 0 for v in f.values):
         raise ValueError(f"negative value in {f.values}: not a cone point")
@@ -261,20 +262,62 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
 def lattice_hasse(poset: GammaPoset) -> list[tuple[IncreasingSet, IncreasingSet]]:
     """Covering pairs (upper, lower) of the lattice under inclusion.
 
-    In a lattice of up-sets the covers are exactly the single-element
-    removals that leave an up-set (Birkhoff).  Uppers and, under each, the
-    lowers follow generation order.  The pairs hold the sets of
-    ``increasing_sets(poset)`` themselves.
+    In a lattice of up-sets the covers of U are the sets U - {p}, one per
+    minimal member p (Birkhoff).  The pair nodes are isolated, so the
+    lattice is the product of the row-part lattice and the Boolean lattice
+    of pair subsets Z, and (row part r, Z) covers exactly (r', Z) for each
+    r' that r covers and (r, Z') for each Z' that Z covers.  So the covers
+    are found once per row part and once per Z (see ``_product_parts``), and
+    combined.  Uppers and, under each, the lowers follow generation order.
+    The pairs hold the sets of ``increasing_sets(poset)`` themselves.
     """
-    index = _index(poset)
-    sets = list(index.values())
-    order = {values: i for i, values in enumerate(index)}
+    sets, row_parts, pair_parts = _product_parts(poset)
+    n_z = len(pair_parts)
+    pair_covers = _lower_covers(poset, pair_parts, 1)
     edges = []
-    for upper in sets:
-        values = upper.values
-        lowers = (
-            order.get(values[:p] + (0,) + values[p + 1:])
-            for p, v in enumerate(values) if v
-        )
-        edges += [(upper, sets[i]) for i in sorted(i for i in lowers if i is not None)]
+    for r, row_lowers in enumerate(_lower_covers(poset, row_parts, n_z)):
+        base = r * n_z
+        # row lowers sit in other blocks of n_z sets, the Z lowers in this one
+        below = [b for b in row_lowers if b < base]
+        above = row_lowers[len(below):]
+        for z, z_lowers in enumerate(pair_covers):
+            upper = sets[base + z]
+            edges += [(upper, sets[b + z]) for b in below]
+            edges += [(upper, sets[base + x]) for x in z_lowers]
+            edges += [(upper, sets[b + z]) for b in above]
     return edges
+
+
+def _product_parts(poset: GammaPoset) -> tuple[list, list, list]:
+    """The lattice in generation order, its row parts and its pair parts.
+
+    Set r * n_z + z joins row part r and pair part z, n_z being the number
+    of pair subsets Z.  The row parts are the sets with Z empty, every n_z-th
+    set; the pair parts are the first n_z sets, whose row part (c = 0,
+    I = J = empty) is empty.
+    """
+    sets = list(_index(poset).values())
+    n_z = 1 << len(poset.eps_elements)
+    return sets, sets[::n_z], sets[:n_z]
+
+
+def _lower_covers(poset: GammaPoset, parts: list, step: int) -> list[list[int]]:
+    """Per set of ``parts``, the positions times ``step`` of the parts it covers, ascending.
+
+    ``parts`` must hold, with each set, every set that one removal of a
+    minimal member leaves.  A member is minimal when none of the members
+    its generating relations put below it is in the set.
+    """
+    below = [[] for _ in poset.elements]
+    for a, b in poset.relation_index_pairs:
+        below[a].append(b)
+    order = {s.values: i * step for i, s in enumerate(parts)}
+    covers = []
+    for s in parts:
+        values = s.values
+        covers.append(sorted(
+            order[values[:p] + (0,) + values[p + 1:]]
+            for p, v in enumerate(values)
+            if v and not any(values[b] for b in below[p])
+        ))
+    return covers

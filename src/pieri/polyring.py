@@ -144,7 +144,7 @@ class PolyRing:
         return int.from_bytes(fields, "big") | (sum(m) << FIELD_BITS * self.nvars)
 
     def _check_monomial(self, m: Monomial) -> None:
-        if len(m) != self.nvars:
+        if not isinstance(m, (tuple, list)) or len(m) != self.nvars:
             raise ValueError(f"monomial {m!r} does not have {self.nvars} exponents")
 
     def _unpack(self, packed: int) -> Monomial:

@@ -103,6 +103,9 @@ def test_eta_of_refuses_negative_values(ctx11):
     values[ctx11.poset.index(Gamma(0, 1))] = -1
     with pytest.raises(ValueError, match="negative value"):
         eta_of(ctx11, ConePoint._trusted(ctx11.poset, tuple(values)))
+    # an argument that is not a cone point at all is refused the same way
+    with pytest.raises(ValueError, match="not a cone point"):
+        eta_of(ctx11, 5)
 
 
 def test_lemma_lm_formula_all_keys(ctx21):
@@ -132,6 +135,8 @@ def test_lm_predicted_refuses_a_point_of_another_poset():
     ctx = PieriContext(9, 2, 2)
     with pytest.raises(ValueError, match="does not belong to this context"):
         lm_predicted(ctx, from_cijz(GammaPoset(3, 2), 1).chi())
+    with pytest.raises(ValueError, match="not a cone point"):
+        lm_predicted(PieriContext(5, 1, 1), 5)
     # an equal poset built apart is the same poset
     assert lm_predicted(ctx, from_cijz(GammaPoset(2, 2), 1).chi()) == lm_predicted(
         ctx, from_cijz(ctx.poset, 1).chi()
@@ -202,8 +207,9 @@ def test_invert_predicted_lm(ctx11):
 
 
 def test_invert_predicted_lm_refuses_a_tuple_of_another_length(ctx11):
-    with pytest.raises(ValueError, match="exponents"):
-        invert_predicted_lm(ctx11, (1,))
+    for bad in ((1,), 5, "a" * ctx11.ring.nvars):
+        with pytest.raises(ValueError, match="exponents"):
+            invert_predicted_lm(ctx11, bad)
 
 
 def test_multiplicity_examples():

@@ -7,9 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pieri
-from pieri.cli import build_parser, main
+from pieri.cli import _json, build_parser, main
 
 
 def run_cli(*argv):
@@ -135,6 +136,34 @@ def test_cone_list_round_trip():
     assert point["rows"]["1"] == [2, 0] and point["rows"]["-1"] == [1]
     # byte-identical re-serialization
     assert json.dumps(record, sort_keys=True, indent=2) + "\n" == out
+
+
+# quotes, backslashes, control characters and non-ASCII text, surrogates included
+_texts = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f' "aZ09 :,{}[]\u00e9\u2603\ud800\udfff")
+    | st.characters()
+)
+_leaves = (
+    _texts
+    | st.integers()
+    | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_values)
+def test_writer_matches_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_cone_single_point_at_zero_content():

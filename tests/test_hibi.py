@@ -319,6 +319,8 @@ def test_standard_decomposition_rejects_non_member():
     bad = ConePoint._trusted(p, (0, 1, 0, 0))
     with pytest.raises(ValueError, match="is not upward closed"):
         standard_decomposition(bad)
+    with pytest.raises(ValueError, match="not a cone point"):
+        standard_decomposition(5)
 
 
 def test_standard_decomposition_rejects_negative_values():
@@ -360,6 +362,25 @@ def covers_by_pairwise_search(poset):
 def test_lattice_hasse_matches_pairwise_covers(k, ell):
     p = GammaPoset(k, ell)
     assert lattice_hasse(p) == covers_by_pairwise_search(p)
+
+
+def covers_by_single_removal(poset):
+    """(upper, lower) pairs where lower is upper less one member, by trying every member."""
+    sets = increasing_sets(poset)
+    order = {s.values: i for i, s in enumerate(sets)}
+    edges = []
+    for upper in sets:
+        values = upper.values
+        lowers = (order.get(values[:p] + (0,) + values[p + 1:]) for p, v in enumerate(values) if v)
+        edges += [(upper, sets[i]) for i in sorted(i for i in lowers if i is not None)]
+    return edges
+
+
+# n_z = 2^C(ell, 2) pair subsets: 1, 2, 8 and 64
+@pytest.mark.parametrize("k, ell", [(k, ell) for k in (1, 2, 3) for ell in (1, 2, 3)] + [(1, 4)])
+def test_lattice_hasse_matches_single_removals(k, ell):
+    p = GammaPoset(k, ell)
+    assert lattice_hasse(p) == covers_by_single_removal(p)
 
 
 def test_lattice_operations_return_the_posets_own_sets():
