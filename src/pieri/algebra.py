@@ -16,7 +16,7 @@ the stable range condition 2(k + ell) < n.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from operator import mul, or_
 from typing import NamedTuple
 
@@ -42,7 +42,7 @@ from .diagrams import (
     frontier_rows,
 )
 from .hibi import IncreasingSet, increasing_sets, standard_decomposition
-from .poset import GammaPoset, check_rank, eps_pairs
+from .poset import GammaPoset, _int_tuple, check_rank, eps_pairs
 from .polyring import _FIELD_MASK, Monomial, Polynomial, PolyRing, Variable, _polynomial
 
 
@@ -58,8 +58,7 @@ class PieriContext:
         # up-sets that differ only in Z share their (c, I, J) determinant, and
         # each is shifted by the single-term pairing monomial of its Z; every
         # determinant is a minor of one matrix, and all share one minor memo
-        cells, unit = _generator_matrix(ring)
-        degree, minors = ring._degree_bound(cells), {}
+        (cells, unit), minors = _generator_matrix(ring), {}
         determinants, pairings = {}, {}
         generators = []
         for a_set in self.lattice:
@@ -68,23 +67,13 @@ class PieriContext:
                 c, I, J = key
                 rows = tuple(range(c + len(J))) + tuple(k + ell + i - 1 for i in sorted(I))
                 cols = tuple(range(c + len(I))) + tuple(k + j - 1 for j in sorted(J))
-                determinants[key] = _polynomial(ring, ring._minor(cells, degree, minors, rows, cols))
+                determinants[key] = _polynomial(ring, ring._minor(cells, minors, rows, cols))
             if Z not in pairings:
-                pairings[Z] = _polynomial(ring, {sum(unit["rr", e.s, e.t] for e in Z): 1})
+                pairings[Z] = _polynomial(ring, {sum(unit("rr", e.s, e.t) for e in Z): 1})
             generators.append((a_set, determinants[key] * pairings[Z]))
         self.generators = tuple(generators)
         assert all(not eta.is_zero() for _, eta in self.generators)
         self._etas = dict(self.generators)
-        moves = self._raising_moves()
-        self._raising = tuple(
-            ring.compile_derivation({v: ring.var(w) for v, w in pairs}) for pairs in moves
-        )
-        # a variable that no derivation reads or writes keeps its exponent
-        # under all of them: the pure pairings, and rx[1, j] when k = 1
-        touched = {v for pairs in moves for pair in pairs for v in pair}
-        self._touched = reduce(or_, (_FIELD_MASK << ring._shifts[ring.rank(v)] for v in touched))
-        self._inert = ring._exponents_mask & ~self._touched
-        self._hw_memo = {}
         self._lm_layout = _lm_layout(self.poset, ring)
 
     def eta(self, a_set: IncreasingSet) -> Polynomial:
@@ -93,6 +82,24 @@ class PieriContext:
             return self._etas[a_set]
         except KeyError:
             raise ValueError(f"{a_set!r} does not belong to this context") from None
+
+    @cached_property
+    def _hw(self) -> tuple:
+        """What ``highest_weight_check`` reads, built on its first call.
+
+        The compiled raising derivations, the masks of the fields they touch
+        and of the inert rest, and the memo of checked pieces.
+        """
+        ring = self.ring
+        moves = self._raising_moves()
+        raising = tuple(
+            ring.compile_derivation({v: ring.var(w) for v, w in pairs}) for pairs in moves
+        )
+        # a variable that no derivation reads or writes keeps its exponent
+        # under all of them: the pure pairings, and rx[1, j] when k = 1
+        touched = {v for pairs in moves for pair in pairs for v in pair}
+        mask = reduce(or_, (_FIELD_MASK << ring._shifts[ring.rank(v)] for v in touched))
+        return raising, mask, ring._exponents_mask & ~mask, {}
 
     def _raising_moves(self):
         """Per raising derivation, its (variable, image variable) pairs."""
@@ -114,7 +121,7 @@ class PieriContext:
         return f"PieriContext(n={self.n}, k={self.k}, ell={self.ell})"
 
 
-def _generator_matrix(ring: PolyRing) -> tuple[list, dict]:
+def _generator_matrix(ring: PolyRing) -> tuple:
     """The matrix whose minors are the generator determinants, and the variable units.
 
     Rows 1..k+ell hold [x(a, 1..k) | y(a, 1..ell)]; below them, for
@@ -123,16 +130,20 @@ def _generator_matrix(ring: PolyRing) -> tuple[list, dict]:
     ascending, and on the matrix columns 1..c+|I| followed by the vector
     columns of J ascending.  No generator reads an x-row past k + ell, as
     c + |J| <= k + ell, and the stable range keeps k + ell below n.  Entries
-    are packed term dicts; the units are keyed by (kind, i, j).
+    are packed term dicts; ``unit(kind, i, j)`` packs one variable, built
+    only for the variables read.
     """
     k, ell = ring.k, ring.ell
-    unit = {(v.kind, v.i, v.j): u for v, u in zip(ring.variables, ring._units)}
+
+    def unit(kind, i, j):
+        return ring._unit(ring.rank(Variable(kind, i, j)))
+
     cells = [
-        [{unit["x", a, j]: 1} for j in range(1, k + 1)]
-        + [{unit["y", a, j]: 1} for j in range(1, ell + 1)]
+        [{unit("x", a, j): 1} for j in range(1, k + 1)]
+        + [{unit("y", a, j): 1} for j in range(1, ell + 1)]
         for a in range(1, k + ell + 1)
     ]
-    cells += [[{unit["rx", j, i]: 1} for j in range(1, k + 1)] + [{}] * ell for i in range(1, ell + 1)]
+    cells += [[{unit("rx", j, i): 1} for j in range(1, k + 1)] + [{}] * ell for i in range(1, ell + 1)]
     return cells, unit
 
 
@@ -199,9 +210,14 @@ def invert_predicted_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
     Returns None when no cone point matches (an exponent on a variable
     outside the layout, such as an off-diagonal matrix variable, or a
     reconstruction that fails order preservation).  A tuple of the wrong
-    length raises ValueError.
+    length, or a non-integral exponent, raises ValueError.
     """
     ctx.ring._check_monomial(mono)
+    return _invert_lm(ctx, _int_tuple(mono))
+
+
+def _invert_lm(ctx: PieriContext, mono: Monomial) -> ConePoint | None:
+    """``invert_predicted_lm`` on an exponent tuple already known to be a monomial of the ring."""
     values = [0] * len(ctx.poset)
     used = 0
     for rank, pos, base in ctx._lm_layout:
@@ -240,7 +256,7 @@ def subduct(ctx: PieriContext, p: Polynomial) -> tuple[StandardCombination, Poly
     current = p
     while not current.is_zero():
         lm = current._leading()
-        g = invert_predicted_lm(ctx, ctx.ring._unpack(lm))
+        g = _invert_lm(ctx, ctx.ring._unpack(lm))
         if g is None:
             break
         eta = eta_of(ctx, g)
@@ -324,7 +340,8 @@ def _newell_littlewood_step(g: tuple, p: int, max_rows: int) -> tuple[tuple[tupl
     diagrams are first reached.
     """
     ways: dict[tuple, int] = {}
-    for a in range(p + 1):
+    # a horizontal strip holds at most one box per column, so at most g[0]
+    for a in range(min(p, g[0] if g else 0) + 1):
         for h in _removed_strips(g, a):
             for f, _ in _gl_step(h, p - a, max_rows):
                 ways[f] = ways.get(f, 0) + 1
@@ -357,7 +374,7 @@ def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
     """
     ring = ctx.ring
     ring._check_ring(p)
-    inert, touched, memo = ctx._inert, ctx._touched, ctx._hw_memo
+    raising, touched, inert, memo = ctx._hw
     pieces: dict = {}
     for m, c in p._terms.items():
         pieces.setdefault(m & inert, []).append((m & touched, c))
@@ -368,7 +385,7 @@ def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
             piece = _polynomial(ring, {m: c for m, c in p._terms.items() if m & inert == part})
             present = reduce(or_, piece._terms, 0)
             ok = memo[key] = all(
-                ring.apply_derivation(piece, d).is_zero() for d in ctx._raising if d[0] & present
+                ring.apply_derivation(piece, d).is_zero() for d in raising if d[0] & present
             )
         if not ok:
             return False

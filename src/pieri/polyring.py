@@ -25,10 +25,7 @@ above them all.  Comparing two packed ints compares degrees first and then
 the exponents along the chain, so the graded lexicographic order is int
 order, and multiplying monomials is adding ints.  The top bit of every
 variable field is a guard bit: a product that sets one raises ValueError,
-so each exponent is limited to ``EXPONENT_LIMIT`` = 2^15 - 1.  No exponent
-exceeds its monomial's degree, so the guard scan over a product's keys runs
-only when the degrees of its factors' leading monomials (the top field of
-the largest key) sum above that limit; at or below it no field can overflow.
+so each exponent is limited to ``EXPONENT_LIMIT`` = 2^15 - 1.
 
 At the public boundary monomials are dense exponent tuples indexed by the
 chain (``Monomial``), and ``(degree, exponents)`` tuple comparison realizes
@@ -83,11 +80,10 @@ class PolyRing:
         self._rank = {v: r for r, v in enumerate(variables)}
         # packed layout: variable r in the field at _shifts[r], degree on top
         self._shifts = tuple(FIELD_BITS * (nvars - 1 - r) for r in range(nvars))
-        degree_unit = 1 << (FIELD_BITS * nvars)
-        self._units = tuple((1 << s) + degree_unit for s in self._shifts)
-        self._guard = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
-        self._exponents_mask = degree_unit - 1
-        self._degree_shift = FIELD_BITS * nvars
+        self._exponents_mask = (1 << (FIELD_BITS * nvars)) - 1
+        # the top bit of every field: the mask divided by one field's mask
+        # has a 1 at the bottom of each field
+        self._guard = self._exponents_mask // _FIELD_MASK << (FIELD_BITS - 1)
         self._fields = struct.Struct(f">{nvars}H")
 
     # -- variables ---------------------------------------------------------
@@ -107,7 +103,7 @@ class PolyRing:
         return tuple(exps)
 
     def var(self, v: Variable) -> "Polynomial":
-        return _polynomial(self, {self._units[self.rank(v)]: 1})
+        return _polynomial(self, {self._unit(self.rank(v)): 1})
 
     def x(self, i, j):
         return self.var(Variable("x", i, j))
@@ -150,30 +146,24 @@ class PolyRing:
     def _unpack(self, packed: int) -> Monomial:
         return self._fields.unpack((packed & self._exponents_mask).to_bytes(2 * self.nvars, "big"))
 
-    def _degree(self, packed: int) -> int:
-        return packed >> self._degree_shift
+    def _unit(self, r: int) -> int:
+        """The packed monomial of variable ``r`` alone: a 1 in its field and in the degree."""
+        return (1 << self._shifts[r]) + self._exponents_mask + 1
 
-    def _checked(self, terms: dict, degree: int) -> dict:
+    def _checked(self, terms: dict) -> dict:
         """``terms`` without zero coefficients, refusing any set guard bit.
 
-        ``degree`` bounds the total degree of every key.  At most
-        ``EXPONENT_LIMIT``, it bounds every exponent too, so no field can
-        have overflowed and the guard scan is skipped.  Above it, every key
-        is ORed against the guard mask: each key must be one sum of two
-        guard-free monomials, so a field that overflowed shows its guard bit
-        and carried into nothing.
+        Every key is ORed against the guard mask: each key must be one sum
+        of two guard-free monomials, so a field that overflowed shows its
+        guard bit and carried into nothing.
         """
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        self._check_guard(terms, degree)
-        return terms
-
-    def _check_guard(self, terms: dict, degree: int) -> None:
-        """The guard scan of ``_checked``, for keys that need no zero-drop."""
-        if degree > EXPONENT_LIMIT and terms and reduce(or_, terms) & self._guard:
+        if terms and reduce(or_, terms) & self._guard:
             raise ValueError(
                 f"exponent above {EXPONENT_LIMIT}, the limit of 2^{FIELD_BITS - 1} - 1 per variable"
             )
+        return terms
 
     @staticmethod
     def _accumulate(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
@@ -236,21 +226,15 @@ class PolyRing:
                 self._check_ring(entry)
         cells = [[entry._terms for entry in row] for row in matrix]
         whole = tuple(range(size))
-        return _polynomial(self, self._minor(cells, self._degree_bound(cells), {}, whole, whole))
+        return _polynomial(self, self._minor(cells, {}, whole, whole))
 
-    def _degree_bound(self, cells) -> int:
-        """The sum of the rows' largest entry degrees, which no term of any minor exceeds."""
-        return sum(max((self._degree(max(e)) for e in row if e), default=0) for row in cells)
-
-    def _minor(self, cells, degree: int, memo: dict, rows: tuple, cols: tuple) -> dict:
+    def _minor(self, cells, memo: dict, rows: tuple, cols: tuple) -> dict:
         """The packed minor of ``cells`` on ``rows`` x ``cols``, both in the order given.
 
         ``cells`` holds packed term dicts ({} for a zero entry).  The minor is
         expanded along the last of ``rows``, and every minor, this one and
         its cofactors, is kept in ``memo`` by (rows, cols): minors that share
-        their leading rows share their cofactors.  ``degree`` bounds the
-        guard scan of every minor (``_degree_bound``).  The minor of no rows
-        is 1.
+        their leading rows share their cofactors.  The minor of no rows is 1.
         """
         key = (rows, cols)
         terms = memo.get(key)
@@ -263,34 +247,32 @@ class PolyRing:
             for idx, c in enumerate(cols):
                 entry = row[c]
                 if entry:
-                    cofactor = self._minor(cells, degree, memo, head, cols[:idx] + cols[idx + 1:])
+                    cofactor = self._minor(cells, memo, head, cols[:idx] + cols[idx + 1:])
                     self._accumulate(terms, entry, cofactor, sign)
                 sign = -sign
-            terms = memo[key] = self._checked(terms, degree)
+            terms = memo[key] = self._checked(terms)
         return terms
 
     def compile_derivation(self, table: dict[Variable, "Polynomial"]):
-        """The table as (support, entries, image degree) for ``apply_derivation``.
+        """The table as (support, entries) for ``apply_derivation``.
 
         Each entry is (field shift, image terms), each image key lowered by
         the variable's unit, so that adding a monomial that holds the
         variable gives a key of the derivative.  The support masks the fields
         of every entry, so a polynomial or monomial that has none of the
-        table's variables is skipped with one test.  The image degree is the
-        largest degree of any image term.
+        table's variables is skipped with one test.
         """
         entries = []
-        support = degree = 0
+        support = 0
         for v, image in table.items():
             r = self.rank(v)
             self._check_ring(image)
             if image._terms:
                 shift = self._shifts[r]
-                unit = self._units[r]
+                unit = self._unit(r)
                 entries.append((shift, tuple((m - unit, c) for m, c in image._terms.items())))
                 support |= _FIELD_MASK << shift
-                degree = max(degree, self._degree(max(image._terms)))
-        return support, tuple(entries), degree
+        return support, tuple(entries)
 
     def apply_derivation(self, p: "Polynomial", compiled) -> "Polynomial":
         """Apply a derivation from ``compile_derivation`` to ``p``.
@@ -298,7 +280,7 @@ class PolyRing:
         Only the entries whose variable occurs in ``p`` are visited.
         """
         self._check_ring(p)
-        support, entries, degree = compiled
+        support, entries = compiled
         present = reduce(or_, p._terms, 0)
         if not present & support:
             return self.zero()
@@ -315,7 +297,7 @@ class PolyRing:
                     for m, c in image:
                         m += mono
                         acc[m] = get(m, 0) + scale * c
-        return _polynomial(self, self._checked(acc, self._degree(max(p._terms)) - 1 + degree))
+        return _polynomial(self, self._checked(acc))
 
     def derive(self, p: "Polynomial", table: dict[Variable, "Polynomial"]) -> "Polynomial":
         """Apply the derivation extending ``table``; unlisted variables map to 0."""
@@ -437,16 +419,13 @@ class Polynomial:
             a, b = b, a
         if not a or not b:
             return ring.zero()
-        degree = ring._degree(max(a)) + ring._degree(max(b))
         if len(b) == 1:
             # distinct keys stay distinct and nonzero coefficients nonzero
             ((m2, c2),) = b.items()
-            terms = {m + m2: c * c2 for m, c in a.items()}
-            ring._check_guard(terms, degree)
-            return _polynomial(ring, terms)
+            return _polynomial(ring, ring._checked({m + m2: c * c2 for m, c in a.items()}))
         acc: dict = {}
         ring._accumulate(acc, a, b)
-        return _polynomial(ring, ring._checked(acc, degree))
+        return _polynomial(ring, ring._checked(acc))
 
     __rmul__ = __mul__
 

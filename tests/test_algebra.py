@@ -210,6 +210,15 @@ def test_invert_predicted_lm_refuses_a_tuple_of_another_length(ctx11):
     for bad in ((1,), 5, "a" * ctx11.ring.nvars):
         with pytest.raises(ValueError, match="exponents"):
             invert_predicted_lm(ctx11, bad)
+    # a non-integral exponent on x[1,1] would reach the recovered point
+    zeros = [0] * ctx11.ring.nvars
+    for bad in (1.5, "3"):
+        with pytest.raises(ValueError, match="integers"):
+            invert_predicted_lm(ctx11, [bad] + zeros[1:])
+    # True reads as 1, as it does everywhere else
+    g = invert_predicted_lm(ctx11, (True, *zeros[1:]))
+    assert g == invert_predicted_lm(ctx11, (1, *zeros[1:])) and g.values == (1, 1, 1, 0)
+    assert all(type(v) is int for v in g.values)
 
 
 def test_multiplicity_examples():
@@ -310,6 +319,21 @@ def test_dp_table_convolution_and_fiber_agree(inputs):
     for f in candidates:
         m = multiplicity(k, ell, f, D, P)
         assert table.get(f, 0) == m == multiplicity_via_cone(k, ell, f, D, P), f
+
+
+@pytest.mark.parametrize("k, ell, D, rest, moderate", [(2, 2, (2, 1), (3,), 20),
+                                                       (1, 3, (2,), (2, 1), 15)])
+def test_decompose_o_with_a_huge_first_part_shifts_row_zero(k, ell, D, rest, moderate):
+    # a strip removed from a diagram holds at most one box per column, so the
+    # step tries at most the diagram's first row of removal sizes, not 10**20;
+    # every diagram the huge factor reaches has it in row 0
+    huge = 10**20
+    got = decompose_o(k, ell, D, (huge, *rest))
+    want = decompose_o(k, ell, D, (moderate, *rest))
+    shift = huge - moderate
+    assert list(got.items()) == [(YoungDiagram((f.rows[0] + shift, *f.rows[1:])), m)
+                                 for f, m in want.items()]
+    assert len(got) == {20: 59, 15: 41}[moderate]
 
 
 def test_decompose_o_stable_range_error():
@@ -431,7 +455,7 @@ def test_highest_weight_skips_only_derivations_that_miss(ctx21):
         p = ring.zero()
         for _ in range(rng.randint(1, 3)):
             p = p + rng.choice(pool) * rng.choice(polys)
-        want = all(ring.apply_derivation(p, d).is_zero() for d in ctx21._raising)
+        want = all(ring.apply_derivation(p, d).is_zero() for d in ctx21._hw[0])
         assert highest_weight_check(ctx21, p) == want
 
 
@@ -474,13 +498,23 @@ def test_highest_weight_memo_matches_every_derivation(shared_contexts, which, su
         for f in factors:
             term = term * ring.var(pool[f % len(pool)])
         p = p + term
-    want = all(ring.apply_derivation(p, d).is_zero() for d in ctx._raising)
+    want = all(ring.apply_derivation(p, d).is_zero() for d in ctx._hw[0])
     assert highest_weight_check(ctx, p) == want
+
+
+def test_highest_weight_tables_are_built_on_the_first_check():
+    ctx = PieriContext(9, 2, 2)
+    assert "_hw" not in vars(ctx)
+    assert highest_weight_check(ctx, ctx.generators[-1][1])
+    raising, _, _, memo = ctx._hw
+    assert len(raising) == (9 - 1) + (2 - 1) and len(memo) == 1
+    assert ctx._hw is vars(ctx)["_hw"]
 
 
 def test_highest_weight_differentiates_each_determinant_once(monkeypatch):
     ctx = PieriContext(11, 2, 3)
     ring = ctx.ring
+    raising, _, _, memo = ctx._hw
     differentiated = []
     apply = ring.apply_derivation
 
@@ -495,12 +529,12 @@ def test_highest_weight_differentiates_each_determinant_once(monkeypatch):
     assert (len(ctx.generators), len(keys)) == (768, 96)
     # each determinant is checked once; one that no derivation reads (1,
     # x[1,1], ...) is annihilated without being differentiated
-    supports = reduce(or_, (d[0] for d in ctx._raising))
+    supports = reduce(or_, (d[0] for d in raising))
     read = sum(1 for eta in keys.values() if supports & reduce(or_, eta._terms))
     assert read == 79
     for _ in range(2):
         assert all(highest_weight_check(ctx, eta) for _, eta in ctx.generators)
-        assert len(ctx._hw_memo) == len(keys)
+        assert len(memo) == len(keys)
         assert len({id(p) for p in differentiated}) == read
 
 
@@ -509,15 +543,16 @@ def test_generator_minors_are_shared(monkeypatch):
     # last row into one memo: 119 minors for the 96 keys at (11, 2, 3), where
     # expanding each determinant on its own takes 903
     expanded = []
-    checked = PolyRing._checked
+    minor = PolyRing._minor
 
-    def counting(ring, terms, degree):
-        expanded.append(terms)
-        return checked(ring, terms, degree)
+    def recording(ring, cells, memo, rows, cols):
+        if rows and (rows, cols) not in memo:
+            expanded.append((id(memo), rows, cols))
+        return minor(ring, cells, memo, rows, cols)
 
-    monkeypatch.setattr(PolyRing, "_checked", counting)
+    monkeypatch.setattr(PolyRing, "_minor", recording)
     PieriContext(11, 2, 3)
-    assert len(expanded) == 119
+    assert len(expanded) == len(set(expanded)) == 119
 
 
 def test_multidegree_examples(ctx11):

@@ -350,18 +350,38 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["result"]["multiplicity"] == 1
 
 
-def run_python(*argv):
+def run_python(*argv, **kwargs):
     """A new Python process that imports the same pieri as this one, installed or not."""
     src = str(Path(pieri.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          **kwargs)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, **kwargs):
     """``pieri`` in a new process, whose parser has parsed nothing before."""
-    return run_python("-m", "pieri.cli", *argv)
+    return run_python("-m", "pieri.cli", *argv, **kwargs)
+
+
+@pytest.mark.parametrize("argv, want", [
+    # a ring of 80001 variables: nothing may be built per pair of variables
+    (["eta", "--k", "1", "--ell", "1", "--n", "40000", "--c", "1"], "x[1,1]\nLM: x[1,1]\n"),
+    # a first part of 10**20: nothing may loop over the part's size
+    (["decompose", "--k", "1", "--ell", "1", "--P", "9" * 20], "9" * 20 + " 1\n"),
+    (["decompose", "--group", "sp", "--n", "2", "--k", "1", "--ell", "1", "--P", "9" * 20],
+     "9" * 20 + " 1\n"),
+])
+def test_large_inputs_run_in_little_memory(argv, want):
+    resource = pytest.importorskip("resource")
+    gib = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+    code, out, err = run_fresh(*argv, preexec_fn=cap, timeout=30)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_imports_only_the_standard_library():

@@ -291,6 +291,18 @@ def test_exponent_limit():
 
 # -- the packed representation against tuple-based oracles ----------------
 
+
+@pytest.mark.parametrize("nkl", [(1, 1, 1), (3, 2, 2), (5, 1, 3), (7, 2, 1)])
+def test_units_and_guard_mask(nkl):
+    # units are built one at a time, and the guard mask in one division
+    ring = PolyRing(*nkl)
+    for r in range(ring.nvars):
+        e_r = tuple(int(s == r) for s in range(ring.nvars))
+        assert ring._unit(r) == ring._pack(e_r)
+        assert ring.var(ring.variables[r]).leading_monomial() == e_r
+    assert ring._guard == sum(1 << (s + 15) for s in ring._shifts)
+
+
 BIG = PolyRing(11, 2, 3)  # 64 variables
 
 
@@ -379,18 +391,19 @@ def test_packed_derive_matches_tuple_oracle(ring, data):
     assert dict(ring.derive(p, table).terms.items()) == tuple_derive(ring, p, table)
 
 
-# -- the degree-bounded guard scan, single-term products, powers ------------
+# -- the guard scan at degrees above the limit, single-term products, powers
 
 
 def test_exponent_limit_by_degree_bound():
     ring = PolyRing(2, 1, 2)
     x, y = ring.x(1, 1), ring.y(1, 1)
     half, x20k, y20k = x ** 16384, x ** 20000, y ** 20000
-    # degree exactly at the limit: the scan is skipped and nothing overflowed
+    # degree exactly at the limit: the scan finds no guard bit set
     assert (half * x ** 16383).leading_monomial()[0] == 32767
     with pytest.raises(ValueError, match="32767"):
         half * half
-    # degree above the limit, but no field overflows: the scan must pass it
+    # degree above the limit, but no field overflows: the scan must pass it,
+    # so it reads the fields' guard bits, not the degree
     wide = x20k * y20k
     assert str(wide) == "x[1,1]^20000*y[1,1]^20000"
     assert str((x20k + 1) * (y20k + y)) == (
