@@ -212,16 +212,16 @@ def cmd_cone(args) -> int:
     D = parse_diagram(args.D)
     P = parse_composition(args.P, ell)
     F = parse_diagram(args.F)
-    poset = GammaPoset(k, ell)
-    fiber = enumerate_fiber(poset, F, D, P)
     params = {"k": k, "ell": ell, "D": list(D.rows), "P": list(P), "F": list(F.rows)}
-    result: dict = {"count": len(fiber)}
     if args.list:
         args.json = True  # the point list is a JSON-only format
+        poset = GammaPoset(k, ell)
+        fiber = enumerate_fiber(poset, F, D, P)
         eps_names = [f"{e.s},{e.t}" for e in poset.eps_elements]
-        result["points"] = [point_record(pt, eps_names) for pt in fiber]
-    record = make_record("cone", params, result)
-    emit(args, record, str(len(fiber)))
+        result = {"count": len(fiber), "points": [point_record(pt, eps_names) for pt in fiber]}
+    else:  # counted block by block, no point built
+        result = {"count": multiplicity_via_cone(k, ell, F, D, P)}
+    emit(args, make_record("cone", params, result), str(result["count"]))
     return EXIT_OK
 
 

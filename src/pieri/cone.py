@@ -7,14 +7,13 @@ multidegree are finite and are enumerated exactly.
 
 The rows of a point form two interlacing chains out of the middle row E,
 one up to F and one down to D.  One memoised walker, ``_tails``, walks
-both on plain row tuples, each strip capped in size: each row of the next
-link is bounded by the end of the chain, and the caps left must hold the
-boxes still missing, so no link walked is a dead end unless a cap below
-the chain end's width binds.  Top chains are memoised within one fiber
-call only; bottom chains, which every F of one (D, P) shares, are cached
-per (E, D, ell).  A fiber is a union of blocks, one per pair of step
-vectors (a, b), each a product of chain and pair-value lists, so it is
-counted without building its points.  This route shares no strip
+both, each strip capped in size and each link bounded by the chain's end,
+with caps left to hold the boxes still missing, and hands each chain over
+as its unused caps and its rows in point layout.  Top chains are memoised
+within one fiber call only; bottom chains, which every F of one (D, P)
+shares, are cached per (E, D, ell).  A fiber is a union of blocks, one per
+pair of step vectors (a, b), each a product of chain and pair-value lists,
+so it is counted without building its points.  This route shares no strip
 enumerator with the tables of :mod:`pieri.algebra` or the Kostka counts
 of :mod:`pieri.diagrams`.
 """
@@ -22,7 +21,7 @@ of :mod:`pieri.diagrams`.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from operator import ge, le, sub
 from typing import NamedTuple
 
@@ -199,36 +198,40 @@ def _c_assignments(q: tuple[int, ...], ell: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _tails(link: tuple, end: tuple, caps: tuple, memo: dict):
-    """(steps, links) of every chain from ``link`` up to ``end``, one strip per cap.
+def _tails(link: tuple, end: tuple, caps: tuple, memo: dict, top: bool):
+    """(room, rows) of every chain from ``link`` up to ``end``, one strip per cap.
 
-    Rows are tuples of one width, and strip j adds at most ``caps[j]``
-    boxes.  ``steps`` holds the boxes each strip adds; ``links`` holds the
-    rows after ``link``, ending with ``end``.  Row i of the next link lies in
-    ``max(link_i, end_{i+left}) .. min(end_i, link_{i-1})``, where ``left``
-    strips follow it, and their caps must add up to at least the boxes it
-    lacks of ``end``.  These are exactly the links that still reach ``end``
-    whenever each of those caps is at least ``end[0]``, so then no link
-    walked is a dead end.  A smaller cap can leave one: the link (0, 0)
-    with caps (0, 2) left below end (1, 1) has room for both boxes, but
-    they share a column, so they need two strips with room.  Tails are
-    memoised in ``memo`` per (link, strips left), so one memo serves one
-    (end, caps).
+    Rows are tuples of one width; strip j adds at most ``caps[j]`` boxes and
+    leaves ``room[j]`` of it.  ``rows`` holds the links after ``link`` as a
+    cone point stores them: with ``top``, first link to ``end``, each cut to
+    ``len(end) - left`` entries (k + level on a top chain) where ``left``
+    strips follow it; else whole, ``end`` first, as below level 0.  Row i of
+    the next link lies in ``max(link_i, end_{i+left}) .. min(end_i,
+    link_{i-1})``, and the caps left must hold the boxes it lacks of ``end``.
+    These are exactly the links that still reach ``end`` whenever each of
+    those caps is at least ``end[0]``, so then no link walked is a dead end.
+    A smaller cap can leave one: the link (0, 0) with caps (0, 2) left below
+    end (1, 1) has room for both boxes, but they share a column, so they
+    need two strips with room.  Tails are memoised in ``memo`` per (link,
+    strips left), so one memo serves one (end, caps, top).
     """
     if not caps:
         return (((), ()),) if link == end else ()
-    key = (link, len(caps))
-    found = memo.get(key)
-    if found is None:
+    found = memo.get(key := (link, len(caps)))
+    if found is None and len(caps) == 1:  # the one link left is end itself
+        room = sum(link) + caps[0] - sum(end)
+        fits = room >= 0 and all(map(le, link, end)) and all(map(le, end[1:], link))
+        found = memo[key] = (((room,), end),) if fits else ()
+    elif found is None:
         left, rest = len(caps) - 1, caps[1:]
-        size, least = sum(link), sum(end) - sum(rest)
+        most, least, cut = sum(link) + caps[0], sum(end) - sum(rest), len(end) - left
         lows = map(max, link, end[left:] + (0,) * left)
         highs = (end[0],) + tuple(map(min, end[1:], link))
         found = memo[key] = tuple(
-            ((total - size,) + steps, (nxt,) + links)
+            ((most - total,) + room, nxt[:cut] + rows if top else rows + nxt)
             for nxt in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
-            if least <= (total := sum(nxt)) <= size + caps[0]
-            for steps, links in _tails(nxt, end, rest, memo)
+            if least <= (total := sum(nxt)) <= most
+            for room, rows in _tails(nxt, end, rest, memo, top)
         )
     return found
 
@@ -238,14 +241,14 @@ def _bottom_chains(e_rows: tuple, d_rows: tuple, ell: int):
     """(b, lowers) for every step vector b of a chain from E up to D in ell strips.
 
     ``b`` holds the boxes each strip adds; each entry of ``lowers`` holds the
-    rows of one chain with that b, from D down to the link above E (levels
-    -ell .. -1), end to end.  Every F of one (D, P) shares these.  No strip
-    can add more than |D| - |E| boxes, so that cap never binds.
+    rows of one chain with that b as a cone point stores them, levels -ell
+    .. 0: D down to E.  Every F of one (D, P) shares these.  No strip can
+    add more than |D| - |E| boxes, so that cap never binds.
     """
-    caps = (sum(d_rows) - sum(e_rows),) * ell
+    cap = sum(d_rows) - sum(e_rows)
     groups: dict = {}
-    for steps, links in _tails(e_rows, d_rows, caps, {}):
-        groups.setdefault(steps, []).append(tuple(chain.from_iterable(links[::-1])))
+    for room, rows in _tails(e_rows, d_rows, (cap,) * ell, {}, False):
+        groups.setdefault(tuple(cap - r for r in room), []).append(rows + e_rows)
     return tuple((b, tuple(lowers)) for b, lowers in groups.items())
 
 
@@ -254,20 +257,17 @@ def _fiber_blocks(k: int, ell: int, F, D, P):
 
     A block's points are ``lower + upper + c`` for every lower, upper and c.
     Only the E that reach both F and D are tried.  The top chains (E to F),
-    whose j-th strip is capped at p_j boxes, are memoised for this fiber
-    only and grouped by ``room`` = P - a; the bottom chains (E to D) come
-    grouped by b.  Each (room, b) with b <= room is a block, whose pair
-    values c are the assignments with sums room - b.
+    the j-th strip capped at p_j boxes, are memoised for this fiber only
+    and grouped by ``room`` = P - a; the bottom chains come grouped by b.
+    Each (room, b) with b <= room is a block; its c sum to room - b.
     """
     F, D, P = _validated_triple(k, ell, F, D, P)
     f_rows, d_rows = F.padded(k + ell), D.padded(k)
     memo: dict = {}
     for e_rows in _middle_candidates(f_rows, d_rows, ell, sum(P)):
         rooms: dict = {}
-        for a, links in _tails(e_rows + (0,) * ell, f_rows, P, memo):
-            upper = e_rows + tuple(chain.from_iterable(
-                link[:k + level] for level, link in enumerate(links, 1)))
-            rooms.setdefault(tuple(map(sub, P, a)), []).append(upper)
+        for room, upper in _tails(e_rows + (0,) * ell, f_rows, P, memo, True):
+            rooms.setdefault(room, []).append(upper)
         for room, uppers in rooms.items():
             for b, lowers in _bottom_chains(e_rows, d_rows, ell):
                 if all(map(le, b, room)) and (cs := _c_assignments(tuple(map(sub, room, b)), ell)):
@@ -275,31 +275,29 @@ def _fiber_blocks(k: int, ell: int, F, D, P):
 
 
 def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> list[ConePoint]:
-    """All points with boundary rows (F, D) and content vector P.
+    """All points with boundary rows (F, D) and content vector P, sorted by value vector.
 
     Boundary rows are pinned, interior rows run over interlacing chains
     from the middle row E outward, and the pair-node values are whatever
-    solves the per-index content constraints.  ``_fiber_blocks`` walks both
-    chains with the one walker ``_tails`` and pairs them by step vector, so
-    ``b <= P - a`` is tested once per pair of distinct vectors, not once
-    per pair of chains.
-
-    A point's values are laid out in canonical element order: the rows
-    below level 0 from the bottom chain, rows 0..ell from the top chain
-    (row ``level`` is the first k + level entries of its link), then the
-    pair values.  The result is sorted lexicographically by value vector.
+    solves the per-index content constraints.  ``_fiber_blocks`` pairs the
+    chains by step vector, so ``b <= P - a`` is tested once per pair of
+    distinct vectors, not once per pair of chains.  The walker lays each
+    chain out in canonical element order, a bottom chain as levels -ell ..
+    0 (D down to E) and a top chain as levels 1 .. ell, so a point's values
+    are ``lower + upper + c``, c the pair values.  These are sorted as
+    plain tuples and only then wrapped as points.
     """
-    point = ConePoint._trusted
-    points = [
-        point(poset, head + c)
+    values = [
+        head + c
         for lowers, uppers, cs in _fiber_blocks(poset.k, poset.ell, F, D, P)
         for upper in uppers
         for lower in lowers
         for head in (lower + upper,)
         for c in cs
     ]
-    points.sort(key=lambda pt: pt.values)
-    return points
+    values.sort()
+    point = ConePoint._trusted
+    return [point(poset, v) for v in values]
 
 
 def _middle_candidates(f_rows: tuple, d_rows: tuple, ell: int, total: int):

@@ -18,7 +18,7 @@ Every entry point checks its integers, its (k, ell) and its rank n here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import index
 
 
@@ -87,50 +87,52 @@ def eps_pairs(ell: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, t) for t in range(2, ell + 1) for s in range(1, t))
 
 
+@cache
+def _layout(k: int, ell: int) -> dict:
+    """The attributes every ``GammaPoset(k, ell)`` shares, built once per process from a checked (k, ell)."""
+    elements: list[Gamma | Eps] = []
+    row_slices = {}
+    for level in range(-ell, ell + 1):
+        start = len(elements)
+        elements += [Gamma(level, j) for j in range(1, k + max(0, level) + 1)]
+        row_slices[level] = slice(start, len(elements))
+    eps_slice = slice(len(elements), len(elements) + len(eps_pairs(ell)))
+    elements += [Eps(s, t) for s, t in eps_pairs(ell)]
+    up = [set() for _ in elements]  # strict covers-from-generators: b -> {a : a >= b}
+    # Gamma(level, j) sits at index at[level] + j
+    at = {level: row.start - 1 for level, row in row_slices.items()}
+    for s in range(ell):
+        for j in range(1, k + s + 1):
+            up[at[s] + j].add(at[s + 1] + j)
+            up[at[s + 1] + j + 1].add(at[s] + j)
+        for j in range(1, k + 1):
+            up[at[-s] + j].add(at[-s - 1] + j)
+        for j in range(1, k):
+            up[at[-s - 1] + j + 1].add(at[-s] + j)
+    up_generators = tuple(tuple(sorted(t)) for t in up)
+    # relation_index_pairs: (greater, lesser) index pairs, for fast order-preservation checks
+    return {"elements": tuple(elements), "_pos": {el: i for i, el in enumerate(elements)},
+            "_row_slices": row_slices, "eps_slice": eps_slice, "eps_elements": tuple(elements[eps_slice]),
+            "_up_generators": up_generators,
+            "relation_index_pairs": tuple((a, b) for b, ups in enumerate(up_generators) for a in ups)}
+
+
 class GammaPoset:
     """The (2*ell+1)-row poset with its isolated pair antichain.
 
     Elements are listed canonically: rows from level -ell up to +ell, left
-    to right within a row, then the pair nodes in t-major order.  The order
-    relation is stored densely, built on the first ``leq`` or ``up_set``;
-    two posets compare equal iff they share (k, ell).  ``pieri.hibi`` keeps
-    its lattice on the instance too.  A copy or a pickle carries only (k, ell).
+    to right within a row, then the pair nodes in t-major order; every poset
+    of one (k, ell) shares this layout.  The order relation is stored
+    densely per instance, built on the first ``leq`` or ``up_set``; two
+    posets compare equal iff they share (k, ell).  ``pieri.hibi`` keeps its
+    lattice on the instance too.  A copy or a pickle carries only (k, ell).
     """
 
     def __init__(self, k: int, ell: int):
         check_k_ell(k, ell)
         self.k = k
         self.ell = ell
-        elements: list[Gamma | Eps] = []
-        self._row_slices = {}
-        for level in range(-ell, ell + 1):
-            start = len(elements)
-            elements += [Gamma(level, j) for j in range(1, k + max(0, level) + 1)]
-            self._row_slices[level] = slice(start, len(elements))
-        start = len(elements)
-        elements += [Eps(s, t) for s, t in eps_pairs(ell)]
-        self.eps_slice = slice(start, len(elements))
-        self.elements: tuple = tuple(elements)
-        self._pos = {el: i for i, el in enumerate(elements)}
-        self.eps_elements: tuple[Eps, ...] = self.elements[self.eps_slice]
-
-        up = [set() for _ in elements]  # strict covers-from-generators: b -> {a : a >= b}
-        # Gamma(level, j) sits at index at[level] + j
-        at = {level: row.start - 1 for level, row in self._row_slices.items()}
-        for s in range(ell):
-            for j in range(1, k + s + 1):
-                up[at[s] + j].add(at[s + 1] + j)
-                up[at[s + 1] + j + 1].add(at[s] + j)
-            for j in range(1, k + 1):
-                up[at[-s] + j].add(at[-s - 1] + j)
-            for j in range(1, k):
-                up[at[-s - 1] + j + 1].add(at[-s] + j)
-
-        self._up_generators = tuple(tuple(sorted(t)) for t in up)
-        # (greater, lesser) index pairs, for fast order-preservation checks
-        self.relation_index_pairs = tuple(
-            (a, b) for b, ups in enumerate(self._up_generators) for a in ups
-        )
+        self.__dict__.update(_layout(k, ell))
         # {indicator values: IncreasingSet}, filled by pieri.hibi on first use
         self._increasing_sets = None
 

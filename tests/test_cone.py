@@ -1,8 +1,10 @@
 import hashlib
 import io
 import itertools
+import json
 import math
 import random
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -338,43 +340,62 @@ padded_rows = st.lists(st.integers(0, 3), max_size=WIDTH).map(
     lambda parts: tuple(sorted(parts, reverse=True)) + (0,) * (WIDTH - len(parts)))
 
 
+def laid_out(chain, caps, top):
+    """(room, rows) of a brute-force chain in the walker's layout.
+
+    ``room`` is what each cap has left after its strip.  ``rows`` flattens
+    the links after the start: as a top chain, from the first link up to the
+    end, the link at level j keeping its first k + j entries, where k is the
+    width less the number of strips; as a bottom chain, every link whole,
+    from the end back down to the first link.
+    """
+    links = chain[1:]
+    room = tuple(cap - (sum(b) - sum(a)) for a, b, cap in zip(chain, links, caps))
+    if top:
+        k = len(chain[-1]) - len(links)
+        return room, tuple(itertools.chain.from_iterable(
+            link[:k + level] for level, link in enumerate(links, 1)))
+    return room, tuple(itertools.chain.from_iterable(reversed(links)))
+
+
 @given(start=padded_rows, end=padded_rows, data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_chains_match_brute_force(start, end, data):
-    # the walker gives exactly the brute-force chains whose j-th strip adds
-    # at most caps[j] boxes, each once, with the boxes each strip adds
+    # in either layout the walker gives exactly the brute-force chains whose
+    # j-th strip adds at most caps[j] boxes, each once, with the room each
+    # strip leaves of its cap and the rows laid out as a cone point stores
+    # them; a bottom chain keeps its links whole, so its rows tell it apart
     caps = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
-    got = _tails(start, end, caps, {})
     want = [chain for chain in brute_chains(start, end, len(caps))
             if all(sum(b) - sum(a) <= cap for a, b, cap in zip(chain, chain[1:], caps))]
-    chains = [(start,) + links for _, links in got]
-    assert len(chains) == len(set(chains))
-    assert set(chains) == set(want)
-    for steps, links in got:
-        sizes = tuple(sum(b) - sum(a) for a, b in zip((start,) + links, links))
-        assert steps == sizes
+    assert len({laid_out(chain, caps, False) for chain in want}) == len(want)
+    for top in (True, False):
+        got = _tails(start, end, caps, {}, top)
+        assert Counter(got) == Counter(laid_out(chain, caps, top) for chain in want)
 
 
 @given(end=padded_rows, data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_next_links_have_no_dead_ends(end, data):
-    # every link the walker steps into has room in the caps left for the
-    # boxes it lacks of end; when each cap after the first is at least end[0]
-    # (as when they do not bind), every such link starts a chain to end:
-    # each memoised tail is nonempty, and the links are those on some chain
+    # in either layout, every link the walker steps into has room in the caps
+    # left for the boxes it lacks of end; when each cap after the first is at
+    # least end[0] (as when they do not bind), every such link starts a chain
+    # to end: each memoised tail is nonempty, and the links are those on some
+    # chain
     link = data.draw(st.sampled_from(rows_inside(end)))
     caps = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
-    memo = {}
-    got = _tails(link, end, caps, memo)
     want = [chain for chain in brute_chains(link, end, len(caps))
             if all(sum(b) - sum(a) <= cap for a, b, cap in zip(chain, chain[1:], caps))]
-    assert bool(got) == bool(want)
-    for walked, left in set(memo) - {(link, len(caps))}:
-        assert sum(end) - sum(walked) <= sum(caps[len(caps) - left:]), (walked, left)
-    if not want or min(caps[1:], default=end[0]) < end[0]:
-        return
-    assert all(memo.values()), [key for key, tails in memo.items() if not tails]
-    assert set(memo) == {(chain[i], len(caps) - i) for chain in want for i in range(len(caps))}
+    for top in (True, False):
+        memo = {}
+        got = _tails(link, end, caps, memo, top)
+        assert bool(got) == bool(want)
+        for walked, left in set(memo) - {(link, len(caps))}:
+            assert sum(end) - sum(walked) <= sum(caps[len(caps) - left:]), (walked, left)
+        if not want or min(caps[1:], default=end[0]) < end[0]:
+            continue
+        assert all(memo.values()), [key for key, tails in memo.items() if not tails]
+        assert set(memo) == {(chain[i], len(caps) - i) for chain in want for i in range(len(caps))}
 
 
 # one large (k, ell, D, P) group, and every F whose fiber over it may have points
@@ -422,6 +443,30 @@ def test_large_group_point_lists_are_pinned():
             digest.update(repr(pt.values).encode())
         digest.update(b";")
     assert digest.hexdigest() == "dac79a1c0e71254db5ae0e4e4697add40008cc5e73d86530cc4e81d565b14084"
+
+
+def test_cone_count_without_list_is_the_list_count():
+    # `cone` without --list counts the fiber block by block and builds no
+    # point; on every F of the large group its count, as text and as JSON,
+    # is the count --list prints beside the points, and the length of them
+    k, ell, D, P = LARGE
+
+    def cone_cli(F, *flags):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["cone", "--k", str(k), "--ell", str(ell), "--D", ",".join(map(str, D)),
+                         "--P", ",".join(map(str, P)), "--F", ",".join(map(str, F.rows)), *flags])
+        assert code == 0
+        return out.getvalue()
+
+    counts = []
+    for F in large_candidates():
+        listed = json.loads(cone_cli(F, "--list"))["result"]
+        assert listed["count"] == len(listed["points"])
+        assert json.loads(cone_cli(F, "--json"))["result"] == {"count": listed["count"]}
+        assert cone_cli(F) == f"{listed['count']}\n"
+        counts.append(listed["count"])
+    assert sum(counts) == 4166
 
 
 @pytest.mark.parametrize("k, ell", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (1, 4)])

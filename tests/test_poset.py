@@ -1,5 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
+from pieri import poset as poset_module
+from pieri.hibi import increasing_sets
 from pieri.poset import Eps, Gamma, GammaPoset, eps_pairs
 
 
@@ -171,3 +176,28 @@ def test_generating_relations_match_the_rule_on_elements():
             assert p._up_generators == generators, (k, ell)
             assert p.relation_index_pairs == tuple(
                 (a, b) for b, ups in enumerate(generators) for a in ups), (k, ell)
+
+
+def test_posets_share_their_layout_not_their_order_or_lattice():
+    # two posets of one (k, ell) hold the same layout objects, while the
+    # closure and the lattice stay per instance; a copy or a pickle carries
+    # only (k, ell), and a refused (k, ell) leaves no layout behind
+    a, b = GammaPoset(2, 3), GammaPoset(2, 3)
+    layout = ("elements", "_pos", "_row_slices", "eps_slice", "eps_elements",
+              "_up_generators", "relation_index_pairs")
+    for name in layout:
+        assert getattr(a, name) is getattr(b, name), name
+    assert a.leq(Gamma(0, 1), Gamma(1, 1))
+    increasing_sets(a)
+    assert "_leq" in vars(a) and a._increasing_sets is not None
+    assert "_leq" not in vars(b) and b._increasing_sets is None
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin is not a and twin == a and twin.__reduce__() == (GammaPoset, (2, 3))
+        assert "_leq" not in vars(twin) and twin._increasing_sets is None
+        assert all(getattr(twin, name) is getattr(a, name) for name in layout)
+    poset_module._layout.cache_clear()
+    with pytest.raises(ValueError, match="expected integers"):
+        GammaPoset(1.5, 1)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        GammaPoset(0, 1)
+    assert poset_module._layout.cache_info().currsize == 0
