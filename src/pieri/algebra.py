@@ -41,7 +41,7 @@ from .diagrams import (
     _removed_strips,
     frontier_rows,
 )
-from .hibi import IncreasingSet, increasing_sets, standard_decomposition
+from .hibi import IncreasingSet, _factors, increasing_sets, standard_decomposition
 from .poset import GammaPoset, _int_tuple, check_rank, eps_pairs
 from .polyring import _FIELD_MASK, Monomial, Polynomial, PolyRing, Variable, _polynomial
 
@@ -55,23 +55,22 @@ class PieriContext:
         self.poset = GammaPoset(k, ell)
         self.ring = ring = PolyRing(n, k, ell)
         self.lattice = increasing_sets(self.poset)
-        # up-sets that differ only in Z share their (c, I, J) determinant, and
-        # each is shifted by the single-term pairing monomial of its Z; every
+        # up-set r * n_z + z joins row part r and pair part z; its generator is
+        # r's (c, I, J) determinant times the pairing monomial of z's Z.  Every
         # determinant is a minor of one matrix, and all share one minor memo
+        row_parts, pair_parts = _factors(self.poset)
         (cells, unit), minors = _generator_matrix(ring), {}
-        determinants, pairings = {}, {}
-        generators = []
-        for a_set in self.lattice:
-            key, Z = (a_set.c, a_set.I, a_set.J), a_set.Z
-            if key not in determinants:
-                c, I, J = key
-                rows = tuple(range(c + len(J))) + tuple(k + ell + i - 1 for i in sorted(I))
-                cols = tuple(range(c + len(I))) + tuple(k + j - 1 for j in sorted(J))
-                determinants[key] = _polynomial(ring, ring._minor(cells, minors, rows, cols))
-            if Z not in pairings:
-                pairings[Z] = _polynomial(ring, {sum(unit("rr", e.s, e.t) for e in Z): 1})
-            generators.append((a_set, determinants[key] * pairings[Z]))
-        self.generators = tuple(generators)
+        determinants = []
+        for part in row_parts:
+            c, I, J = part.c, part.I, part.J
+            rows = tuple(range(c + len(J))) + tuple(k + ell + i - 1 for i in sorted(I))
+            cols = tuple(range(c + len(I))) + tuple(k + j - 1 for j in sorted(J))
+            determinants.append(_polynomial(ring, ring._minor(cells, minors, rows, cols)))
+        pairings = [
+            _polynomial(ring, {sum(unit("rr", e.s, e.t) for e in part.Z): 1}) for part in pair_parts
+        ]
+        etas = (det * pairing for det in determinants for pairing in pairings)
+        self.generators = tuple(zip(self.lattice, etas, strict=True))
         assert all(not eta.is_zero() for _, eta in self.generators)
         self._etas = dict(self.generators)
         self._lm_layout = _lm_layout(self.poset, ring)

@@ -11,7 +11,8 @@ writes the output to a file instead of stdout.  Diagram lists are ordered
 by size, then reverse-lexicographically.
 
 Exit codes: 0 ok, 1 usage error (bad arguments, or an ``--out`` file that
-cannot be opened or written), 2 domain error, 3 verification failure.
+cannot be opened or written), 2 domain error (also an input that exhausts
+the recursion limit or memory), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .diagrams import (
     gl_iterated_pieri,
     kostka,
 )
-from .hibi import _product_parts, from_cijz, lattice_hasse
+from .hibi import _cover_indices, _factors, from_cijz
 from .poset import Eps, Gamma, GammaPoset, check_rank
 from .verify import run_suites
 
@@ -142,7 +143,7 @@ def _json(obj, pad: str = "") -> str:
     return json.dumps(obj)
 
 
-def emit(args, record: dict, text: str) -> None:
+def emit(args, record: dict | None, text: str) -> None:
     if args.json:
         payload = _json(record) + "\n"
     else:
@@ -235,24 +236,22 @@ def cmd_poset(args) -> int:
     k, ell = _require_k_ell(args)
     poset = GammaPoset(k, ell)
     nodes = [_poset_node_name(el) for el in poset.elements]
-    edges = [
+    edges = (
         (_poset_node_name(lower), _poset_node_name(upper))
         for upper, lower in poset.hasse_edges()
-    ]
+    )
     return _emit_graph(args, "poset", {"k": k, "ell": ell}, nodes, edges)
 
 
 def cmd_lattice(args) -> int:
     k, ell = _require_k_ell(args)
     poset = GammaPoset(k, ell)
-
-    # each set joins a row part and a pair part, and so does its label
-    sets, row_parts, pair_parts = _product_parts(poset)
-    rows = ["(" + ",".join(map(str, s.profile())) + ")" for s in row_parts]
-    pairs = [";Z=" + "+".join(_pair_names(s.Z)) if s.Z else "" for s in pair_parts]
-    nodes = [row + z for row in rows for z in pairs]
-    labels = {id(s): label for s, label in zip(sets, nodes)}
-    edges = [(labels[id(lower)], labels[id(upper)]) for upper, lower in lattice_hasse(poset)]
+    # set r * n_z + z joins row part r and pair part z, and so does its label
+    rows, pairs = _factors(poset)
+    row_labels = ["(" + ",".join(map(str, s.profile())) + ")" for s in rows]
+    pair_labels = [";Z=" + "+".join(_pair_names(s.Z)) if s.Z else "" for s in pairs]
+    nodes = [row + z for row in row_labels for z in pair_labels]
+    edges = ((nodes[lower], nodes[upper]) for upper, lower in _cover_indices(poset))
     return _emit_graph(args, "lattice", {"k": k, "ell": ell}, nodes, edges)
 
 
@@ -262,20 +261,17 @@ def _pair_names(Z) -> list[str]:
 
 
 def _emit_graph(args, command, params, nodes, edges) -> int:
-    record = make_record(
-        command,
-        {**params, "format": args.format},
-        {"nodes": nodes, "edges": [list(e) for e in edges]},
-    )
-    if args.format == "dot":
+    """DOT, or the ``pieri/1`` record under ``--json`` or ``--format json``; ``edges`` is read once."""
+    if args.json or args.format == "json":
+        args.json = True
+        result = {"nodes": nodes, "edges": list(edges)}
+        emit(args, make_record(command, {**params, "format": args.format}, result), "")
+    else:
         lines = [f"digraph {command} {{"]
         lines += [f'  "{n}";' for n in nodes]
         lines += [f'  "{a}" -> "{b}";' for a, b in edges]
         lines.append("}")
-        emit(args, record, "\n".join(lines))
-    else:
-        args.json = True
-        emit(args, record, "")
+        emit(args, None, "\n".join(lines))
     return EXIT_OK
 
 
@@ -432,6 +428,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (RecursionError, MemoryError) as exc:
+        # a backstop, not a fix: the input needs more recursion or memory than this process has
+        print(f"error: input too large for this process ({exc!r})", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -140,37 +140,36 @@ def from_cijz(poset: GammaPoset, c: int, I=(), J=(), Z=()) -> IncreasingSet:
     for el in Z:
         if not isinstance(el, Eps) or el not in poset:
             raise ValueError(f"{el!r} is not a pair node of {poset!r}")
-    row_part = _row_part(poset, _row_widths(poset), c, I, J)
-    return _assembled(poset, c, I, J, Z, row_part, _pair_part(poset, Z))
+    return _from_key(poset, c, I, J, Z)
 
 
-def _row_widths(poset: GammaPoset) -> tuple[int, ...]:
-    return tuple(poset.row_length(level) for level in range(-poset.ell, poset.ell + 1))
-
-
-def _row_part(poset: GammaPoset, widths: tuple, c: int, I, J) -> tuple[tuple, tuple]:
-    """(row indicator values, row counts by level) of a valid (c, I, J), rows ``widths`` long."""
+def _from_key(poset: GammaPoset, c: int, I, J, Z) -> IncreasingSet:
+    """The up-set of a valid key (frozensets I, J, Z kept as given)."""
     ell = poset.ell
     counts = [c] * (2 * ell + 1)  # row counts by level + ell
     for s in range(1, ell + 1):
         counts[ell - s] = counts[ell - s + 1] + (s in I)
         counts[ell + s] = counts[ell + s - 1] + (s in J)
-    values = []
-    for count, width in zip(counts, widths):
-        values += [1] * count + [0] * (width - count)
-    return tuple(values), tuple(counts)
+    values = [0] * len(poset)
+    for level, count in enumerate(counts, -ell):
+        start = poset.row_slice(level).start
+        values[start:start + count] = [1] * count
+    values[poset.eps_slice] = [int(el in Z) for el in poset.eps_elements]
+    return _assembled(poset, tuple(values), tuple(counts), (c, I, J, Z))
 
 
-def _pair_part(poset: GammaPoset, Z) -> tuple:
-    """The pair-node indicator values of Z."""
-    return tuple(1 if el in Z else 0 for el in poset.eps_elements)
+def _joined(row: IncreasingSet, pair: IncreasingSet) -> IncreasingSet:
+    """The up-set of a row part's row nodes and a pair part's pair nodes."""
+    cut = row.poset.eps_slice.start
+    values = row.values[:cut] + pair.values[cut:]
+    return _assembled(row.poset, values, row._profile, (row.c, row.I, row.J, pair.Z))
 
 
-def _assembled(poset: GammaPoset, c: int, I, J, Z, row_part: tuple, pair_part: tuple) -> IncreasingSet:
-    """The increasing set of a valid key (frozensets I, J, Z kept as given) from its two parts."""
+def _assembled(poset: GammaPoset, values: tuple, profile: tuple, key: tuple) -> IncreasingSet:
+    """The increasing set of these values, row counts and valid (c, I, J, Z) key, kept as given."""
     a_set = object.__new__(IncreasingSet)
-    a_set.poset, a_set.values, a_set._profile = poset, row_part[0] + pair_part, row_part[1]
-    a_set.c, a_set.I, a_set.J, a_set.Z = c, I, J, Z
+    a_set.poset, a_set.values, a_set._profile = poset, values, profile
+    a_set.c, a_set.I, a_set.J, a_set.Z = key
     return a_set
 
 
@@ -187,27 +186,36 @@ def increasing_sets(poset: GammaPoset) -> list[IncreasingSet]:
 def _index(poset: GammaPoset) -> dict[tuple, IncreasingSet]:
     """``{values: set}`` over the lattice, in generation order, kept on the poset.
 
-    Unions, intersections, level sets and the Hasse diagram look sets up here.
-    Each (c, I, J) row part and each Z pair part is built once.
+    Unions, intersections and level sets look sets up here.  Set
+    r * n_z + z joins row part r and pair part z of ``_factors``.
     """
     if poset._increasing_sets is None:
-        k, widths = poset.k, _row_widths(poset)
-        # the sets share one frozenset per distinct I, J or Z
-        steps = _subsets(range(1, poset.ell + 1))
-        pairs = [(Z, _pair_part(poset, Z)) for Z in _subsets(poset.eps_elements)]
-        rows = (
-            (c, I, J, _row_part(poset, widths, c, I, J))
-            for c in range(k + 1)
-            for I in steps if len(I) <= k - c
-            for J in steps
-        )
-        sets = (
-            _assembled(poset, c, I, J, Z, row_part, pair_part)
-            for c, I, J, row_part in rows
-            for Z, pair_part in pairs
-        )
+        rows, pairs = _factors(poset)
+        sets = (_joined(row, pair) for row in rows for pair in pairs)
         poset._increasing_sets = {a_set.values: a_set for a_set in sets}
     return poset._increasing_sets
+
+
+def _factors(poset: GammaPoset) -> tuple[list, list]:
+    """The row parts and the pair parts of the lattice, each in generation order.
+
+    The pair nodes are isolated, so the lattice is the product of the
+    row-part lattice and the Boolean lattice of pair subsets Z (Hibi 1987).
+    The row parts are the up-sets with Z empty, one per (c, I, J); the pair
+    parts those with c = 0 and I = J empty, one per Z.  With n_z pair parts,
+    set r * n_z + z of generation order joins row part r and pair part z.
+    """
+    k = poset.k
+    # the sets share one frozenset per distinct I, J or Z
+    steps = _subsets(range(1, poset.ell + 1))
+    none = steps[0]
+    rows = [
+        _from_key(poset, c, I, J, none)
+        for c in range(k + 1)
+        for I in steps if len(I) <= k - c
+        for J in steps
+    ]
+    return rows, [_from_key(poset, 0, none, none, Z) for Z in _subsets(poset.eps_elements)]
 
 
 def _subsets(items) -> list[frozenset]:
@@ -262,43 +270,35 @@ def standard_decomposition(f: ConePoint) -> StandardExpression:
 def lattice_hasse(poset: GammaPoset) -> list[tuple[IncreasingSet, IncreasingSet]]:
     """Covering pairs (upper, lower) of the lattice under inclusion.
 
-    In a lattice of up-sets the covers of U are the sets U - {p}, one per
-    minimal member p (Birkhoff).  The pair nodes are isolated, so the
-    lattice is the product of the row-part lattice and the Boolean lattice
-    of pair subsets Z, and (row part r, Z) covers exactly (r', Z) for each
-    r' that r covers and (r, Z') for each Z' that Z covers.  So the covers
-    are found once per row part and once per Z (see ``_product_parts``), and
-    combined.  Uppers and, under each, the lowers follow generation order.
-    The pairs hold the sets of ``increasing_sets(poset)`` themselves.
+    The pairs of ``_cover_indices``, holding the sets of
+    ``increasing_sets(poset)`` themselves.
     """
-    sets, row_parts, pair_parts = _product_parts(poset)
-    n_z = len(pair_parts)
-    pair_covers = _lower_covers(poset, pair_parts, 1)
-    edges = []
-    for r, row_lowers in enumerate(_lower_covers(poset, row_parts, n_z)):
+    sets = increasing_sets(poset)
+    return [(sets[upper], sets[lower]) for upper, lower in _cover_indices(poset)]
+
+
+def _cover_indices(poset: GammaPoset):
+    """Yield the covering pairs (upper, lower) as positions in generation order.
+
+    In a lattice of up-sets the covers of U are the sets U - {p}, one per
+    minimal member p (Birkhoff).  In the product of ``_factors``, (row part
+    r, Z) covers exactly (r', Z) for each r' that r covers and (r, Z') for
+    each Z' that Z covers.  So the covers are found once per row part and
+    once per Z, and combined.  Uppers and, under each, the lowers ascend.
+    """
+    rows, pairs = _factors(poset)
+    n_z = len(pairs)
+    pair_covers = _lower_covers(poset, pairs, 1)
+    for r, row_lowers in enumerate(_lower_covers(poset, rows, n_z)):
         base = r * n_z
         # row lowers sit in other blocks of n_z sets, the Z lowers in this one
         below = [b for b in row_lowers if b < base]
         above = row_lowers[len(below):]
         for z, z_lowers in enumerate(pair_covers):
-            upper = sets[base + z]
-            edges += [(upper, sets[b + z]) for b in below]
-            edges += [(upper, sets[base + x]) for x in z_lowers]
-            edges += [(upper, sets[b + z]) for b in above]
-    return edges
-
-
-def _product_parts(poset: GammaPoset) -> tuple[list, list, list]:
-    """The lattice in generation order, its row parts and its pair parts.
-
-    Set r * n_z + z joins row part r and pair part z, n_z being the number
-    of pair subsets Z.  The row parts are the sets with Z empty, every n_z-th
-    set; the pair parts are the first n_z sets, whose row part (c = 0,
-    I = J = empty) is empty.
-    """
-    sets = list(_index(poset).values())
-    n_z = 1 << len(poset.eps_elements)
-    return sets, sets[::n_z], sets[:n_z]
+            upper = base + z
+            yield from ((upper, b + z) for b in below)
+            yield from ((upper, base + x) for x in z_lowers)
+            yield from ((upper, b + z) for b in above)
 
 
 def _lower_covers(poset: GammaPoset, parts: list, step: int) -> list[list[int]]:

@@ -585,3 +585,9 @@ def test_grading_consistency_random():
         for _ in range(rng.randint(0, 3)):
             g = g + rng.choice(ctx.lattice).chi()
         assert multidegree_of_polynomial(ctx, eta_of(ctx, g)) == g.degree()
+
+
+def test_generators_follow_the_lattice():
+    ctx = PieriContext(11, 2, 3)
+    assert len(ctx.generators) == len(ctx.lattice) == 768
+    assert all(ctx.generators[i][0] is ctx.lattice[i] for i in range(len(ctx.lattice)))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pieri
+import pieri.cli
+import pieri.hibi
 from pieri.cli import _json, build_parser, main
 
 
@@ -311,6 +314,54 @@ def test_nonpositive_k_ell_exit_2():
         code, out, err = run_cli(*argv)
         assert code == 2 and out == "", argv
         assert "need k >= 1 and ell >= 1" in err, argv
+
+
+def test_recursion_limit_exits_2_without_a_traceback():
+    # the skew Kostka backtracking recurses once per cell, past the
+    # interpreter's limit here; the backstop in main reports it in one line
+    code, out, err = run_fresh("mult", "--k", "1", "--ell", "1", "--P", "1000", "--F", "1000",
+                               timeout=60)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input too large") and "RecursionError" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_memory_error_exits_2_without_a_traceback(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pieri.cli, "multiplicity", exhausted)
+    code, out, err = run_cli("mult", "--k", "1", "--ell", "1", "--P", "1", "--F", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: input too large for this process (MemoryError())\n"
+
+
+def test_lattice_reads_only_the_factors(monkeypatch):
+    # the CLI labels and links the product lattice from its two factors; the
+    # index of every up-set is never built
+    def refused(poset):
+        raise AssertionError("the product lattice was built")
+
+    monkeypatch.setattr(pieri.hibi, "_index", refused)
+    code, out, err = run_cli("lattice", "--k", "2", "--ell", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "832a8c00bab26a9cc8480800058704813bcf25ae9987a4a13b11aa893736165e")
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``pieri ...`` line of README's command-line block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("pieri ")]
+    assert commands, "README's command-line block lists no pieri command"
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_unwritable_out_exits_1(tmp_path):

@@ -34,6 +34,14 @@ GOLDEN = [
      "e21151e2f68a8729b271d9861953583ba677804674b5ed29fd0d173445501eeb"),
     ("lattice --k 3 --ell 2 --format json",
      "af31b544afb9f69a39d033d5f382adb933813711810febf97576cf8113b99f43"),
+    # 64 pair subsets per row part
+    ("lattice --k 1 --ell 4 --format dot",
+     "a716ec896384fe7bc6ca7ca0f6e02ad05b2c4ba44e5b539e2864f5dcf206694a"),
+    # --json overrides --format dot
+    ("poset --k 2 --ell 1 --format dot --json",
+     "7c3993b3348066ba057d4b3b0b7ec4116ce0645db1fc26d29e289ad3a0cf25dd"),
+    ("lattice --k 2 --ell 1 --format dot --json",
+     "1c34e8b395efb22e0eed77cc66d50ce475d577b2cbf9897997479cca44ef55f0"),
     ("decompose --group o --k 1 --ell 1 --D 1 --P 1 --json",
      "61b63d1c6b495f3f8f846410c787b56046c564c6b84816c5fdcc5e35655f5c28"),
     ("decompose --group sp --k 1 --ell 1 --n 2 --D 1 --P 1 --json",

@@ -383,6 +383,21 @@ def test_lattice_hasse_matches_single_removals(k, ell):
     assert lattice_hasse(p) == covers_by_single_removal(p)
 
 
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 2), (1, 3), (3, 2)])
+def test_factors_are_the_lattices_own_parts(k, ell):
+    # set r * n_z + z of the lattice joins row part r and pair part z
+    p = GammaPoset(k, ell)
+    rows, pairs = hibi._factors(p)
+    sets, cut = increasing_sets(p), p.eps_slice.start
+    assert len(sets) == len(rows) * len(pairs)
+    assert [s.key for s in sets[::len(pairs)]] == [r.key for r in rows]
+    assert [s.key for s in sets[:len(pairs)]] == [z.key for z in pairs]
+    for i, s in enumerate(sets):
+        r, z = rows[i // len(pairs)], pairs[i % len(pairs)]
+        assert s.values == r.values[:cut] + z.values[cut:]
+        assert (s.profile(), s.Z) == (r.profile(), z.Z)
+
+
 def test_lattice_operations_return_the_posets_own_sets():
     p = GammaPoset(2, 2)
     sets = increasing_sets(p)
