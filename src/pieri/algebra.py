@@ -321,11 +321,17 @@ def decompose_o(k: int, ell: int, D, P, n: int | None = None) -> dict[YoungDiagr
     matching parity, and positive multiplicity; they are ordered by size,
     then reverse-lexicographically.  Passing ``n`` asserts the stable
     range; the table itself does not depend on it.
+
+    The pass takes the parts in ascending order, whatever order ``P``
+    gives them in.  D has at most k rows and each of the ell steps adds at
+    most one, so the k+ell cap never binds: the pass is the universal
+    Newell–Littlewood product, which commutes, and the table depends only
+    on the multiset of parts.
     """
     _, D, P = _validated_triple(k, ell, EMPTY, D, P)
     if n is not None:
         check_rank("o", k, ell, n)
-    table = frontier_rows(D.rows, P, lambda g, p: _newell_littlewood_step(g, p, k + ell))
+    table = frontier_rows(D.rows, sorted(P), lambda g, p: _newell_littlewood_step(g, p, k + ell))
     return _ordered_table(table)
 
 

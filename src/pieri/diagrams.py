@@ -17,9 +17,11 @@ of it.  The interlacing chains of a fiber are walked in :mod:`pieri.cone`,
 not here.
 
 Tables run on canonical row tuples, not on diagrams.  The strip kernels
-``_added_strips`` and ``_removed_strips`` take and yield row tuples, and a
-step gives ``(rows, ways)`` pairs.  The GL step here, ``_gl_step``, is the
-one place strips are added: the orthogonal step in :mod:`pieri.algebra`
+``_added_strips`` and ``_removed_strips`` take row tuples and return lists
+of them, and a step gives ``(rows, ways)`` pairs.  Both table passes take
+the factors' sizes in ascending order, so every order of one multiset of
+parts meets the same cached steps.  The GL step here, ``_gl_step``, is
+the one place strips are added: the orthogonal step in :mod:`pieri.algebra`
 removes a strip and then takes the cached GL step from what is left.
 Both steps are cached per (rows, step size, row cap) and keep each
 distinct row tuple and each distinct pair once through ``_interned``.
@@ -212,7 +214,7 @@ def kostka(shape: SkewShape, content) -> int:
     return _kostka(shape.outer.rows, shape.inner.rows, content)
 
 
-def _strip_rows(base: tuple, caps: tuple, size: int, sign: int):
+def _strip_rows(base: tuple, caps: tuple, size: int, sign: int) -> list[tuple]:
     """Rows ``base_j + sign * t_j`` for every ``0 <= t_j <= caps_j`` with sum ``size``.
 
     The t are taken lexicographically, and a zero last row is trimmed.  Each
@@ -221,29 +223,29 @@ def _strip_rows(base: tuple, caps: tuple, size: int, sign: int):
     """
     depth = len(caps)
     if depth == 0:
-        if size == 0:
-            yield ()
-        return
+        return [()] if size == 0 else []
     room = [0] * depth  # room[j]: boxes rows j+1.. can take
     for j in range(depth - 2, -1, -1):
         room[j] = room[j + 1] + caps[j + 1]
     last = depth - 1
     values = list(base)
+    out = []
 
     def rec(j, rem):
         if j == last:
             values[j] = base[j] + sign * rem
-            yield tuple(values) if values[j] else tuple(values[:last])
+            out.append(tuple(values) if values[j] else tuple(values[:last]))
             return
         for t in range(max(0, rem - room[j]), min(caps[j], rem) + 1):
             values[j] = base[j] + sign * t
-            yield from rec(j + 1, rem - t)
+            rec(j + 1, rem - t)
 
     if size <= room[0] + caps[0]:
-        yield from rec(0, size)
+        rec(0, size)
+    return out
 
 
-def _added_strips(rows: tuple, size: int, max_rows: int):
+def _added_strips(rows: tuple, size: int, max_rows: int) -> list[tuple]:
     """Row tuples of every diagram interlacing ``rows`` from above, ``size`` boxes more.
 
     ``rows`` is canonical.  Row j of such a diagram lies in ``rows_j ..
@@ -252,21 +254,21 @@ def _added_strips(rows: tuple, size: int, max_rows: int):
     """
     depth = min(len(rows) + 1, max_rows)
     if len(rows) > depth:
-        return
+        return []
     base = rows + (0,) * (depth - len(rows))
     # row 0 may take every box, row j the amount row j - 1 is longer; no rows when max_rows is 0
     caps = ((size,) + tuple(a - b for a, b in zip(rows, base[1:])))[:depth]
-    yield from _strip_rows(base, caps, size, 1)
+    return _strip_rows(base, caps, size, 1)
 
 
-def _removed_strips(rows: tuple, size: int):
+def _removed_strips(rows: tuple, size: int) -> list[tuple]:
     """Row tuples of every G inside ``rows`` with ``rows / G`` a horizontal strip of ``size`` boxes.
 
     That is ``rows_{j+1} <= g_j <= rows_j`` for every row.  ``rows`` is
     canonical; the results are canonical and in reverse lexicographic order.
     """
     caps = tuple(a - b for a, b in zip(rows, rows[1:] + (0,)))
-    yield from _strip_rows(rows, caps, size, -1)
+    return _strip_rows(rows, caps, size, -1)
 
 
 _INTERNED: dict[tuple, tuple] = {}
@@ -303,9 +305,11 @@ def _ordered_table(table: dict[tuple, int]) -> dict[YoungDiagram, int]:
     """A frontier's ``{rows: multiplicity}`` wrapped in diagrams and put in table order.
 
     Table order is by size, then reverse-lexicographic: the order of every
-    table the library returns and the CLI prints.
+    table the library returns and the CLI prints.  Rows hold no zeros, so
+    of two row tuples of one size neither is a prefix of the other, and
+    sorting (-size, rows) descending gives that order.
     """
-    ordered = sorted(table.items(), key=lambda fm: (sum(fm[0]), [-r for r in fm[0]]))
+    ordered = sorted(table.items(), key=lambda fm: (-sum(fm[0]), fm[0]), reverse=True)
     return {YoungDiagram._trusted(rows): m for rows, m in ordered}
 
 
@@ -332,13 +336,16 @@ def gl_iterated_pieri(d: YoungDiagram, p, n: int) -> dict[YoungDiagram, int]:
     Returns ``{F: multiplicity}`` over diagrams F with at most ``n`` rows,
     in table order (by size, then reverse-lexicographically); the
     multiplicity is the number of interlacing chains from ``d`` to F whose
-    step sizes are the entries of ``p``.
+    step sizes are the entries of ``p``.  The pass takes the parts in
+    ascending order, whatever order ``p`` gives them in: the GL_n tensor
+    product commutes, and capping every step at n rows is exactly that
+    product, so the table depends only on the multiset of parts.
     """
     p = as_composition(p)
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(d)
     check_rank("gl", None, None, n, d)
-    return _ordered_table(frontier_rows(d.rows, p, lambda rows, step: _gl_step(rows, step, n)))
+    return _ordered_table(frontier_rows(d.rows, sorted(p), lambda rows, q: _gl_step(rows, q, n)))
 
 
 @cache

@@ -151,8 +151,7 @@ def _from_key(poset: GammaPoset, c: int, I, J, Z) -> IncreasingSet:
         counts[ell - s] = counts[ell - s + 1] + (s in I)
         counts[ell + s] = counts[ell + s - 1] + (s in J)
     values = [0] * len(poset)
-    for level, count in enumerate(counts, -ell):
-        start = poset.row_slice(level).start
+    for start, count in zip(poset._row_starts, counts):
         values[start:start + count] = [1] * count
     values[poset.eps_slice] = [int(el in Z) for el in poset.eps_elements]
     return _assembled(poset, tuple(values), tuple(counts), (c, I, J, Z))
@@ -196,8 +195,8 @@ def _index(poset: GammaPoset) -> dict[tuple, IncreasingSet]:
     return poset._increasing_sets
 
 
-def _factors(poset: GammaPoset) -> tuple[list, list]:
-    """The row parts and the pair parts of the lattice, each in generation order.
+def _factors(poset: GammaPoset) -> tuple[tuple, tuple]:
+    """The row parts and the pair parts of the lattice, each in generation order, kept on the poset.
 
     The pair nodes are isolated, so the lattice is the product of the
     row-part lattice and the Boolean lattice of pair subsets Z (Hibi 1987).
@@ -205,17 +204,20 @@ def _factors(poset: GammaPoset) -> tuple[list, list]:
     parts those with c = 0 and I = J empty, one per Z.  With n_z pair parts,
     set r * n_z + z of generation order joins row part r and pair part z.
     """
-    k = poset.k
-    # the sets share one frozenset per distinct I, J or Z
-    steps = _subsets(range(1, poset.ell + 1))
-    none = steps[0]
-    rows = [
-        _from_key(poset, c, I, J, none)
-        for c in range(k + 1)
-        for I in steps if len(I) <= k - c
-        for J in steps
-    ]
-    return rows, [_from_key(poset, 0, none, none, Z) for Z in _subsets(poset.eps_elements)]
+    if poset._lattice_factors is None:
+        k = poset.k
+        # the sets share one frozenset per distinct I, J or Z
+        steps = _subsets(range(1, poset.ell + 1))
+        none = steps[0]
+        rows = tuple(
+            _from_key(poset, c, I, J, none)
+            for c in range(k + 1)
+            for I in steps if len(I) <= k - c
+            for J in steps
+        )
+        pairs = tuple(_from_key(poset, 0, none, none, Z) for Z in _subsets(poset.eps_elements))
+        poset._lattice_factors = rows, pairs
+    return poset._lattice_factors
 
 
 def _subsets(items) -> list[frozenset]:

@@ -112,7 +112,8 @@ def _layout(k: int, ell: int) -> dict:
     up_generators = tuple(tuple(sorted(t)) for t in up)
     # relation_index_pairs: (greater, lesser) index pairs, for fast order-preservation checks
     return {"elements": tuple(elements), "_pos": {el: i for i, el in enumerate(elements)},
-            "_row_slices": row_slices, "eps_slice": eps_slice, "eps_elements": tuple(elements[eps_slice]),
+            "_row_slices": row_slices, "_row_starts": tuple(row.start for row in row_slices.values()),
+            "eps_slice": eps_slice, "eps_elements": tuple(elements[eps_slice]),
             "_up_generators": up_generators,
             "relation_index_pairs": tuple((a, b) for b, ups in enumerate(up_generators) for a in ups)}
 
@@ -125,7 +126,8 @@ class GammaPoset:
     of one (k, ell) shares this layout.  The order relation is stored
     densely per instance, built on the first ``leq`` or ``up_set``; two
     posets compare equal iff they share (k, ell).  ``pieri.hibi`` keeps its
-    lattice on the instance too.  A copy or a pickle carries only (k, ell).
+    lattice and the lattice's two factors on the instance too.  A copy or a
+    pickle carries only (k, ell).
     """
 
     def __init__(self, k: int, ell: int):
@@ -133,8 +135,9 @@ class GammaPoset:
         self.k = k
         self.ell = ell
         self.__dict__.update(_layout(k, ell))
-        # {indicator values: IncreasingSet}, filled by pieri.hibi on first use
-        self._increasing_sets = None
+        # the lattice's (row parts, pair parts) and {indicator values:
+        # IncreasingSet}, filled by pieri.hibi on first use
+        self._lattice_factors = self._increasing_sets = None
 
     @cached_property
     def _leq(self) -> list[list[bool]]:

@@ -6,6 +6,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pieri import hibi
 from pieri.algebra import (
     PieriContext,
     check_rank,
@@ -21,7 +22,14 @@ from pieri.algebra import (
     subduct,
 )
 from pieri.cone import ConePoint, zero_point
-from pieri.diagrams import EMPTY, YoungDiagram, partitions_of
+from pieri.diagrams import (
+    EMPTY,
+    SkewShape,
+    YoungDiagram,
+    gl_iterated_pieri,
+    kostka,
+    partitions_of,
+)
 from pieri.hibi import from_cijz
 from pieri.poset import Eps, Gamma, GammaPoset
 from pieri.polyring import PolyRing, Variable
@@ -321,6 +329,29 @@ def test_dp_table_convolution_and_fiber_agree(inputs):
         assert table.get(f, 0) == m == multiplicity_via_cone(k, ell, f, D, P), f
 
 
+@given(k=st.integers(1, 3), ell=st.integers(1, 4), dsize=st.integers(0, 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tables_do_not_depend_on_the_order_of_p(k, ell, dsize, data):
+    # the product of one-row factors commutes, so every order of P gives one
+    # table, entry for entry and in one order; the convolution sees P unsorted
+    D = data.draw(st.sampled_from(partitions_of(dsize, k)))
+    P = tuple(data.draw(st.lists(st.integers(0, 3), min_size=ell, max_size=ell)
+                        .filter(lambda p: sum(p) <= 5)))
+    items = list(decompose_o(k, ell, D, P).items())
+    for order in set(itertools.permutations(P)):
+        assert list(decompose_o(k, ell, D, order).items()) == items, order
+    for f, m in items:
+        assert m == multiplicity(k, ell, f, D, P), f
+    n = data.draw(st.integers(max(1, len(D)), 4))
+    p = tuple(data.draw(st.lists(st.integers(0, 3), max_size=4).filter(lambda p: sum(p) <= 5)))
+    gl = list(gl_iterated_pieri(D, p, n).items())
+    for order in set(itertools.permutations(p)):
+        assert list(gl_iterated_pieri(D, order, n).items()) == gl, order
+    reached = {f: kostka(SkewShape(f, D), p)
+               for f in partitions_of(D.size + sum(p), n) if f.contains(D)}
+    assert dict(gl) == {f: m for f, m in reached.items() if m}
+
+
 @pytest.mark.parametrize("k, ell, D, rest, moderate", [(2, 2, (2, 1), (3,), 20),
                                                        (1, 3, (2,), (2, 1), 15)])
 def test_decompose_o_with_a_huge_first_part_shifts_row_zero(k, ell, D, rest, moderate):
@@ -591,3 +622,13 @@ def test_generators_follow_the_lattice():
     ctx = PieriContext(11, 2, 3)
     assert len(ctx.generators) == len(ctx.lattice) == 768
     assert all(ctx.generators[i][0] is ctx.lattice[i] for i in range(len(ctx.lattice)))
+
+
+def test_context_builds_the_lattice_factors_once(monkeypatch):
+    # the lattice and the generators read one pair of factors kept on the poset
+    built = []
+    from_key = hibi._from_key
+    monkeypatch.setattr(hibi, "_from_key", lambda *key: built.append(key) or from_key(*key))
+    ctx = PieriContext(11, 2, 3)
+    rows, pairs = hibi._factors(ctx.poset)
+    assert len(built) == len(rows) + len(pairs) == 96 + 8

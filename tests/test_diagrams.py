@@ -12,6 +12,7 @@ from pieri.diagrams import (
     _added_strips,
     _diagrams_under,
     _gl_step,
+    _ordered_table,
     _removed_strips,
     as_composition,
     frontier_rows,
@@ -336,6 +337,35 @@ def test_row_kernels_match_brute_force(d, data):
     for out in (up, down):
         assert len(out) == len(set(out))
         assert all(f == YoungDiagram(f).rows for f in out)
+
+
+@given(d=diagram_strategy(max_size=12, max_rows=6), size=st.integers(0, 8),
+       depth=st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_strip_kernels_come_sorted_and_canonical(d, size, depth):
+    # past the sizes a brute force reaches: added strips ascend and removed
+    # ones descend lexicographically, each once, each in canonical form
+    up = _added_strips(d.rows, size, depth)
+    down = _removed_strips(d.rows, size)
+    assert up == sorted(set(up))
+    assert down == sorted(set(down), reverse=True)
+    for out in (up, down):
+        assert all(f == YoungDiagram(f).rows for f in out)
+
+
+TABLE_ROWS = [f.rows for n in range(9) for f in partitions_of(n, 6)]
+
+
+@given(rows=st.lists(st.sampled_from(TABLE_ROWS), unique=True, max_size=80),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ordered_table_is_by_size_then_reverse_lexicographic(rows, data):
+    # entries arrive in any order and leave by size, then with every row
+    # negated in ascending order
+    shuffled = data.draw(st.permutations(rows))
+    table = {r: data.draw(st.integers(1, 9)) for r in shuffled}
+    want = sorted(table.items(), key=lambda fm: (sum(fm[0]), [-r for r in fm[0]]))
+    assert list(_ordered_table(table).items()) == [(YoungDiagram(r), m) for r, m in want]
 
 
 def test_gl_iterated_pieri_ignores_factor_order():
