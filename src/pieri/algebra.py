@@ -43,7 +43,7 @@ from .diagrams import (
 )
 from .hibi import IncreasingSet, _factors, increasing_sets, standard_decomposition
 from .poset import GammaPoset, _int_tuple, check_rank, eps_pairs
-from .polyring import _FIELD_MASK, Monomial, Polynomial, PolyRing, Variable, _polynomial
+from .polyring import _FIELD_MASK, Monomial, Polynomial, PolyRing, Variable, _derivative, _polynomial
 
 
 class PieriContext:
@@ -86,19 +86,20 @@ class PieriContext:
     def _hw(self) -> tuple:
         """What ``highest_weight_check`` reads, built on its first call.
 
-        The compiled raising derivations, the masks of the fields they touch
-        and of the inert rest, and the memo of checked pieces.
+        Per raising derivation its moves, each a (field shift, image field
+        shift) pair; the masks of the fields the moves touch and of the
+        inert rest; and the memo of checked pieces.
         """
-        ring = self.ring
-        moves = self._raising_moves()
+        shifts, rank = self.ring._shifts, self.ring.rank
         raising = tuple(
-            ring.compile_derivation({v: ring.var(w) for v, w in pairs}) for pairs in moves
+            tuple((shifts[rank(v)], shifts[rank(w)]) for v, w in pairs)
+            for pairs in self._raising_moves()
         )
         # a variable that no derivation reads or writes keeps its exponent
         # under all of them: the pure pairings, and rx[1, j] when k = 1
-        touched = {v for pairs in moves for pair in pairs for v in pair}
-        mask = reduce(or_, (_FIELD_MASK << ring._shifts[ring.rank(v)] for v in touched))
-        return raising, mask, ring._exponents_mask & ~mask, {}
+        touched = {shift for moves in raising for move in moves for shift in move}
+        inert = reduce(or_, (_FIELD_MASK << s for s in shifts if s not in touched), 0)
+        return raising, self.ring._exponents_mask & ~inert, inert, {}
 
     def _raising_moves(self):
         """Per raising derivation, its (variable, image variable) pairs."""
@@ -374,8 +375,9 @@ def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
     coefficients alone.  That answer is kept in a per-context memo, so a
     piece is differentiated at most once per context: every generator
     det(c, I, J) * rho(Z) with the same (c, I, J) reuses one check.  On a
-    miss, only the derivations whose support meets the OR of the piece's
-    monomials are applied; the others annihilate it.
+    miss, a derivation is applied by its moves out of the piece's held
+    fields, each as the delta that takes one exponent from its field to the
+    image's; a derivation with no such move annihilates the piece.
     """
     ring = ctx.ring
     ring._check_ring(p)
@@ -383,18 +385,22 @@ def highest_weight_check(ctx: PieriContext, p: Polynomial) -> bool:
     pieces: dict = {}
     for m, c in p._terms.items():
         pieces.setdefault(m & inert, []).append((m & touched, c))
-    for part, pairs in pieces.items():
+    for pairs in pieces.values():
         key = frozenset(pairs)
         ok = memo.get(key)
         if ok is None:
-            piece = _polynomial(ring, {m: c for m, c in p._terms.items() if m & inert == part})
-            present = reduce(or_, piece._terms, 0)
-            ok = memo[key] = all(
-                ring.apply_derivation(piece, d).is_zero() for d in raising if d[0] & present
-            )
+            fields = ring._unpack(reduce(or_, (m for m, _ in pairs)))
+            held = {shift for shift, e in zip(ring._shifts, fields) if e}
+            ok = memo[key] = all(_annihilates(pairs, moves, held) for moves in raising)
         if not ok:
             return False
     return True
+
+
+def _annihilates(pairs: list, moves: tuple, held: set) -> bool:
+    """Whether the derivation of ``moves`` sends the packed ``pairs`` to zero."""
+    entries = [(src, (((1 << dst) - (1 << src), 1),)) for src, dst in moves if src in held]
+    return not entries or not any(_derivative(pairs, entries).values())
 
 
 def multidegree_of_polynomial(ctx: PieriContext, p: Polynomial) -> MultiDegree:

@@ -429,8 +429,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (RecursionError, MemoryError) as exc:
-        # a backstop, not a fix: the input needs more recursion or memory than this process has
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        # a backstop, not a fix: the input needs more recursion, memory or
+        # index range than this process has
         print(f"error: input too large for this process ({exc!r})", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -50,8 +50,11 @@ class YoungDiagram:
 
     def __init__(self, rows=()):
         rows = _int_tuple(rows)
-        while rows and rows[-1] == 0:
-            rows = rows[:-1]
+        end = len(rows)
+        while end and rows[end - 1] == 0:
+            end -= 1
+        if end < len(rows):
+            rows = rows[:end]
         if rows and rows[-1] < 0:
             raise ValueError(f"row lengths must be nonnegative: {rows}")
         if any(a < b for a, b in zip(rows, rows[1:])):
@@ -172,11 +175,13 @@ def _kostka(outer: tuple, inner: tuple, content: tuple) -> int:
 
     Cells are filled column by column, so both the left and the upper
     neighbour of the current cell, read off ``inner``, are already placed;
-    row/column feasibility prunes each branch immediately.
+    row/column feasibility prunes each branch immediately.  ``inner`` lies
+    inside ``outer``, so a content of the wrong size is refused before any
+    cell is listed.
     """
-    cells = _skew_cells(outer, inner)
-    if sum(content) != len(cells):
+    if sum(content) != sum(outer) - sum(inner):
         return 0
+    cells = _skew_cells(outer, inner)
     inner = inner + (0,) * (len(outer) - len(inner))
     remaining = list(content)
     m = len(content)

@@ -253,55 +253,16 @@ class PolyRing:
             terms = memo[key] = self._checked(terms)
         return terms
 
-    def compile_derivation(self, table: dict[Variable, "Polynomial"]):
-        """The table as (support, entries) for ``apply_derivation``.
-
-        Each entry is (field shift, image terms), each image key lowered by
-        the variable's unit, so that adding a monomial that holds the
-        variable gives a key of the derivative.  The support masks the fields
-        of every entry, so a polynomial or monomial that has none of the
-        table's variables is skipped with one test.
-        """
+    def derive(self, p: "Polynomial", table: dict[Variable, "Polynomial"]) -> "Polynomial":
+        """Apply the derivation extending ``table``; unlisted variables map to 0."""
+        self._check_ring(p)
         entries = []
-        support = 0
         for v, image in table.items():
             r = self.rank(v)
             self._check_ring(image)
-            if image._terms:
-                shift = self._shifts[r]
-                unit = self._unit(r)
-                entries.append((shift, tuple((m - unit, c) for m, c in image._terms.items())))
-                support |= _FIELD_MASK << shift
-        return support, tuple(entries)
-
-    def apply_derivation(self, p: "Polynomial", compiled) -> "Polynomial":
-        """Apply a derivation from ``compile_derivation`` to ``p``.
-
-        Only the entries whose variable occurs in ``p`` are visited.
-        """
-        self._check_ring(p)
-        support, entries = compiled
-        present = reduce(or_, p._terms, 0)
-        if not present & support:
-            return self.zero()
-        entries = [entry for entry in entries if (present >> entry[0]) & _FIELD_MASK]
-        acc: dict = {}
-        get = acc.get
-        for mono, coeff in p._terms.items():
-            if not mono & support:
-                continue
-            for shift, image in entries:
-                e = (mono >> shift) & _FIELD_MASK
-                if e:
-                    scale = coeff * e
-                    for m, c in image:
-                        m += mono
-                        acc[m] = get(m, 0) + scale * c
-        return _polynomial(self, self._checked(acc))
-
-    def derive(self, p: "Polynomial", table: dict[Variable, "Polynomial"]) -> "Polynomial":
-        """Apply the derivation extending ``table``; unlisted variables map to 0."""
-        return self.apply_derivation(p, self.compile_derivation(table))
+            unit = self._unit(r)
+            entries.append((self._shifts[r], tuple((m - unit, c) for m, c in image._terms.items())))
+        return _polynomial(self, self._checked(_derivative(p._terms.items(), entries)))
 
     def _check_ring(self, p: "Polynomial") -> None:
         if not isinstance(p, Polynomial):
@@ -327,6 +288,27 @@ def _polynomial(ring: PolyRing, packed: dict) -> "Polynomial":
     p.ring = ring
     p._terms = packed
     return p
+
+
+def _derivative(terms, entries) -> dict:
+    """The packed terms of a derivative, with zero coefficients left in.
+
+    ``terms`` holds (packed monomial, coefficient) pairs.  ``entries`` holds
+    one (field shift, image) per variable, the image as (key, coefficient)
+    pairs whose keys are lowered by the variable's unit, so that adding a
+    monomial that holds the variable gives a key of the derivative.
+    """
+    acc: dict = {}
+    get = acc.get
+    for mono, coeff in terms:
+        for shift, image in entries:
+            e = (mono >> shift) & _FIELD_MASK
+            if e:
+                scale = coeff * e
+                for m, c in image:
+                    m += mono
+                    acc[m] = get(m, 0) + scale * c
+    return acc
 
 
 class TermsView(Mapping):

@@ -6,7 +6,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pieri import hibi
+from pieri import algebra, hibi
 from pieri.algebra import (
     PieriContext,
     check_rank,
@@ -32,7 +32,7 @@ from pieri.diagrams import (
 )
 from pieri.hibi import from_cijz
 from pieri.poset import Eps, Gamma, GammaPoset
-from pieri.polyring import PolyRing, Variable
+from pieri.polyring import _FIELD_MASK, PolyRing, Variable
 
 
 @pytest.fixture(scope="module")
@@ -476,6 +476,13 @@ def test_highest_weight_generators_at_ell_2():
         highest_weight_check(ctx, PieriContext(7, 2, 1).ring.one())
 
 
+def annihilated_by_every_raising_derivation(ctx, p):
+    """The definition, through the ring's public ``derive``."""
+    ring = ctx.ring
+    return all(ring.derive(p, {v: ring.var(w) for v, w in pairs}).is_zero()
+               for pairs in ctx._raising_moves())
+
+
 def test_highest_weight_skips_only_derivations_that_miss(ctx21):
     # the definition: every raising derivation, applied whether or not it meets p
     ring, rng = ctx21.ring, random.Random(5)
@@ -486,7 +493,7 @@ def test_highest_weight_skips_only_derivations_that_miss(ctx21):
         p = ring.zero()
         for _ in range(rng.randint(1, 3)):
             p = p + rng.choice(pool) * rng.choice(polys)
-        want = all(ring.apply_derivation(p, d).is_zero() for d in ctx21._hw[0])
+        want = annihilated_by_every_raising_derivation(ctx21, p)
         assert highest_weight_check(ctx21, p) == want
 
 
@@ -529,7 +536,7 @@ def test_highest_weight_memo_matches_every_derivation(shared_contexts, which, su
         for f in factors:
             term = term * ring.var(pool[f % len(pool)])
         p = p + term
-    want = all(ring.apply_derivation(p, d).is_zero() for d in ctx._hw[0])
+    want = annihilated_by_every_raising_derivation(ctx, p)
     assert highest_weight_check(ctx, p) == want
 
 
@@ -544,29 +551,29 @@ def test_highest_weight_tables_are_built_on_the_first_check():
 
 def test_highest_weight_differentiates_each_determinant_once(monkeypatch):
     ctx = PieriContext(11, 2, 3)
-    ring = ctx.ring
     raising, _, _, memo = ctx._hw
     differentiated = []
-    apply = ring.apply_derivation
+    derivative = algebra._derivative
 
-    def recording(p, d):
-        differentiated.append(p)
-        return apply(p, d)
+    def recording(terms, entries):
+        if entries:
+            differentiated.append(terms)
+        return derivative(terms, entries)
 
-    monkeypatch.setattr(ring, "apply_derivation", recording)
+    monkeypatch.setattr(algebra, "_derivative", recording)
     keys = {}
     for a_set, eta in ctx.generators:
         keys.setdefault((a_set.c, a_set.I, a_set.J), eta)
     assert (len(ctx.generators), len(keys)) == (768, 96)
-    # each determinant is checked once; one that no derivation reads (1,
-    # x[1,1], ...) is annihilated without being differentiated
-    supports = reduce(or_, (d[0] for d in raising))
-    read = sum(1 for eta in keys.values() if supports & reduce(or_, eta._terms))
+    # each determinant is checked once; one that no move reads (1, x[1,1],
+    # ...) is annihilated without being differentiated
+    sources = reduce(or_, (_FIELD_MASK << src for moves in raising for src, _ in moves))
+    read = sum(1 for eta in keys.values() if sources & reduce(or_, eta._terms))
     assert read == 79
     for _ in range(2):
         assert all(highest_weight_check(ctx, eta) for _, eta in ctx.generators)
         assert len(memo) == len(keys)
-        assert len({id(p) for p in differentiated}) == read
+        assert len({id(terms) for terms in differentiated}) == read
 
 
 def test_generator_minors_are_shared(monkeypatch):

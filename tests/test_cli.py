@@ -336,6 +336,117 @@ def test_memory_error_exits_2_without_a_traceback(monkeypatch):
     assert err == "error: input too large for this process (MemoryError())\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["mult", "--k", "1", "--ell", "1" + "0" * 22, "--P", "1", "--F", "1"],
+    ["cone", "--k", "1", "--ell", "1" + "0" * 22, "--P", "1", "--F", "1"],
+    ["decompose", "--group", "sp", "--n", "5", "--k", "1", "--ell", "1" + "0" * 22, "--P", "1"],
+    ["mult", "--group", "gl", "--n", "3", "--ell", "1" + "0" * 22, "--P", "1", "--F", "1"],
+])
+def test_overflow_error_exits_2_without_a_traceback(argv):
+    # padding P to an ell past the index range overflows before any work
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input too large") and "OverflowError" in err
+    assert len(err.splitlines()) == 1
+
+
+HUGE = "1" + "0" * 22
+
+
+def ints(low, high, huge=False):
+    """(good, bad) values of an int flag: ints in [low, high], and where safe 10**22; malformed
+    text, ints below ``low`` and where safe -10**22."""
+    good = [str(v) for v in range(low, high + 1)] * 2 + ([HUGE] if huge else [])
+    bad = ["", "1.5", "x", "-1", str(low - 1)] + (["-" + HUGE] if huge else [])
+    return st.sampled_from(good), st.sampled_from(bad)
+
+
+def comma_lists(good, bad):
+    """(good, bad) comma lists: of good entries only, or with one bad entry among them."""
+    entries = st.lists(st.sampled_from(good), max_size=4)
+    return (entries.map(",".join),
+            st.tuples(entries, st.sampled_from(bad)).map(lambda t: ",".join(t[0] + [t[1]])))
+
+
+def choices(good, bad):
+    return st.sampled_from(good), st.sampled_from(bad)
+
+
+# Per command, each flag's (good, bad) values, or None for a flag that takes
+# no value.  Every command that enumerates keeps k, ell <= 3 and n <= 13.
+# Huge --k, --ell or --n on poset, lattice, eta, verify and cone --list still
+# runs unbounded (no work budget refuses it yet), so there they draw no
+# 10**22.  verify keeps k, ell <= 2: its suites take seconds to minutes at
+# ell = 3.  A part of 10**22 goes into one list per command line: two of them
+# (--D and --F of mult, or two parts of P) still enumerate up to 10**22.
+PARTS = comma_lists(["0", "1", "2", "3"], ["-1", "", "1.5", "a"])
+GROUP = choices(["o", "sp", "gl"], ["x", ""])
+FORMAT = choices(["dot", "json"], ["svg"])
+GRAMMAR = {
+    "mult": {"--group": GROUP, "--k": ints(1, 3, True), "--ell": ints(1, 3, True),
+             "--n": ints(1, 13, True), "--D": PARTS, "--P": PARTS, "--F": PARTS,
+             "--verify": None, "--json": None},
+    "decompose": {"--group": GROUP, "--k": ints(1, 3, True), "--ell": ints(1, 3, True),
+                  "--n": ints(1, 13, True), "--D": PARTS, "--P": PARTS, "--json": None},
+    "cone": {"--k": ints(1, 3), "--ell": ints(1, 3), "--D": PARTS, "--P": PARTS, "--F": PARTS,
+             "--list": None, "--json": None},
+    "poset": {"--k": ints(1, 3), "--ell": ints(1, 3), "--format": FORMAT, "--json": None},
+    "lattice": {"--k": ints(1, 3), "--ell": ints(1, 3), "--format": FORMAT, "--json": None},
+    "eta": {"--k": ints(1, 3), "--ell": ints(1, 3), "--n": ints(1, 13), "--c": ints(0, 3, True),
+            "--I": comma_lists(["1", "2", "3"], ["0", "-1", "", "x"]),
+            "--J": comma_lists(["1", "2", "3"], ["0", "-1", "", "x"]),
+            "--Z": comma_lists(["1:2", "1:3", "2:3"], ["2:1", "1:1", "0:1", "a:b", "1", "1:2:3"]),
+            "--json": None},
+    "verify": {"--k": ints(1, 2), "--ell": ints(1, 2), "--n": ints(1, 13),
+               "--suite": comma_lists(["lm", "hibi", "oracle", "subduction", "hw", "all"],
+                                      ["bogus", ""]),
+               "--json": None},
+}
+# what a command line may carry besides its flags: an unknown flag, a stray
+# word, a flag without its value
+JUNK = st.sampled_from([["--bogus"], ["stray"], ["--k"], ["--K", "1"]])
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line from the grammar, then up to three edits.
+
+    Each edit gives a flag a bad value, drops it, repeats it with a good
+    value (the last one counts) or adds junk; one list of mult or decompose
+    may also get a first part of 10**22.
+    """
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = GRAMMAR[command]
+    line = {flag: None if values is None else draw(values[0]) for flag, values in flags.items()
+            if flag in ("--k", "--ell", "--c") or draw(st.booleans())}
+    extra = []
+    edits = st.tuples(st.sampled_from("bdrj"), st.sampled_from(sorted(flags)))
+    for edit, flag in draw(st.lists(edits, max_size=3)):
+        values = flags[flag]
+        if edit == "b" and values is not None:
+            line[flag] = draw(values[1])
+        elif edit == "d":
+            line.pop(flag, None)
+        elif edit == "r":
+            extra.append([flag] if values is None else [flag, draw(values[0])])
+        elif edit == "j":
+            extra.append(draw(JUNK))
+    huge = [flag for flag in ("--D", "--P", "--F") if flag in line]
+    if command in ("mult", "decompose") and huge and draw(st.booleans()):
+        flag = draw(st.sampled_from(huge))
+        line[flag] = ",".join(filter(None, [HUGE, line[flag]]))
+    pairs = [[flag] if value is None else [flag, value] for flag, value in line.items()] + extra
+    return [command] + [word for pair in draw(st.permutations(pairs)) for word in pair]
+
+
+@given(argv=cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+
+
 def test_lattice_reads_only_the_factors(monkeypatch):
     # the CLI labels and links the product lattice from its two factors; the
     # index of every up-set is never built
@@ -423,6 +534,12 @@ def run_fresh(*argv, **kwargs):
     (["decompose", "--k", "1", "--ell", "1", "--P", "9" * 20], "9" * 20 + " 1\n"),
     (["decompose", "--group", "sp", "--n", "2", "--k", "1", "--ell", "1", "--P", "9" * 20],
      "9" * 20 + " 1\n"),
+    # the same ring checked for highest weight: nothing may be built per raising
+    # derivation, nor per variable of F's length-n row vector
+    (["verify", "--suite", "hw", "--k", "1", "--ell", "1", "--n", "40000"],
+     "PASS hw: checked 46 instances\n"),
+    # a skew shape of 10**22 boxes and a content of none: no box may be listed
+    (["mult", "--group", "gl", "--n", "1", "--ell", "1", "--F", "1" + "0" * 22], "0\n"),
 ])
 def test_large_inputs_run_in_little_memory(argv, want):
     resource = pytest.importorskip("resource")
