@@ -6,12 +6,13 @@ linear functionals A, B, C, P read off the grading.  Fibers over a fixed
 multidegree are finite and are enumerated exactly.
 
 The rows of a point form two interlacing chains out of the middle row E,
-one up to F and one down to D.  One memoised walker, ``_tails``, walks
-both, each strip capped in size and each link bounded by the chain's end,
-with caps left to hold the boxes still missing, and hands each chain over
-as its unused caps and its rows in point layout.  Top chains are memoised
-within one fiber call only; bottom chains, which every F of one (D, P)
-shares, are cached per (E, D, ell).  A fiber is a union of blocks, one per
+one up to F and one down to D.  One memoised walker, ``_walk``, removes
+the strips of either from its far end down to E, each strip capped in size
+and each row bounded by what E may still be, and hands each chain over as
+E, its strip sizes and its rows in point layout.  Top chains, walked down
+from F, share one memo per (D, P) group, kept for the group asked last;
+bottom chains, from D down to E, are cached per (E, D, ell) and grouped
+per content left to them.  A fiber is a union of blocks, one per
 pair of step vectors (a, b), each a product of chain and pair-value lists,
 so it is counted without building its points.  This route shares no strip
 enumerator with the tables of :mod:`pieri.algebra` or the Kostka counts
@@ -20,9 +21,9 @@ of :mod:`pieri.diagrams`.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
-from operator import ge, le, sub
+from operator import le, sub
 from typing import NamedTuple
 
 from .diagrams import YoungDiagram, _compositions, as_composition
@@ -198,47 +199,53 @@ def _c_assignments(q: tuple[int, ...], ell: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _tails(link: tuple, end: tuple, caps: tuple, memo: dict, top: bool):
-    """(room, rows) of every chain from ``link`` up to ``end``, one strip per cap.
+def _walk(link: tuple, caps: tuple, low: tuple, bound: tuple, least: int, memo: dict, top: bool):
+    """(E, steps, rows) of every chain from ``link`` down to a middle row E, one strip per cap.
 
-    Rows are tuples of one width; strip j adds at most ``caps[j]`` boxes and
-    leaves ``room[j]`` of it.  ``rows`` holds the links after ``link`` as a
-    cone point stores them: with ``top``, first link to ``end``, each cut to
-    ``len(end) - left`` entries (k + level on a top chain) where ``left``
-    strips follow it; else whole, ``end`` first, as below level 0.  Row i of
-    the next link lies in ``max(link_i, end_{i+left}) .. min(end_i,
-    link_{i-1})``, and the caps left must hold the boxes it lacks of ``end``.
-    These are exactly the links that still reach ``end`` whenever each of
-    those caps is at least ``end[0]``, so then no link walked is a dead end.
-    A smaller cap can leave one: the link (0, 0) with caps (0, 2) left below
-    end (1, 1) has room for both boxes, but they share a column, so they
-    need two strips with room.  Tails are memoised in ``memo`` per (link,
-    strips left), so one memo serves one (end, caps, top).
+    Strip j, between the links j - 1 and j strips above E, removes
+    ``steps[j - 1] <= caps[j - 1]`` boxes; E lies in ``low .. bound`` row by
+    row and holds at least ``least`` boxes.  ``rows`` holds the links as a
+    cone point stores them: with ``top``, levels 1 .. ``link``, the link j
+    strips above E cut to ``len(bound) + j`` entries; else whole, ``link``
+    down to E.  Row i of the next link, ``left`` strips above E, lies in
+    ``max(link_{i+1}, link_i - cap, low_i) .. min(link_i, bound_{i-left})``,
+    at most cap + 1 values however long the row.  It is kept only if
+    ``inside``, the most of it that E can hold, is at least ``least`` and the
+    caps left hold the rest.  So if low <= bound and each cap left is at
+    least ``link[0]``, every link kept reaches E = min(link, bound).  The
+    links strictly between ``link`` and E are memoised per (link, strips
+    left, least), so one memo serves one (caps, low, bound, top).
     """
-    if not caps:
-        return (((), ()),) if link == end else ()
-    found = memo.get(key := (link, len(caps)))
-    if found is None and len(caps) == 1:  # the one link left is end itself
-        room = sum(link) + caps[0] - sum(end)
-        fits = room >= 0 and all(map(le, link, end)) and all(map(le, end[1:], link))
-        found = memo[key] = (((room,), end),) if fits else ()
-    elif found is None:
-        left, rest = len(caps) - 1, caps[1:]
-        most, least, cut = sum(link) + caps[0], sum(end) - sum(rest), len(end) - left
-        lows = map(max, link, end[left:] + (0,) * left)
-        highs = (end[0],) + tuple(map(min, end[1:], link))
-        found = memo[key] = tuple(
-            ((most - total,) + room, nxt[:cut] + rows if top else rows + nxt)
-            for nxt in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
-            if least <= (total := sum(nxt)) <= most
-            for room, rows in _tails(nxt, end, rest, memo, top)
-        )
-    return found
+    left, cap, size, rest = len(caps) - 1, caps[-1], sum(link), caps[:-1]
+    most = sum(rest)
+    lows = map(max, link[1:] + (0,), [x - cap for x in link], low)
+    highs = link[:left] + tuple(map(min, link[left:], bound))
+    chains = []
+    for nxt in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+        total, inside = sum(nxt), sum(map(min, nxt, bound))
+        if total + cap < size or total - inside > most or inside < least:
+            continue
+        strip = (size - total,)
+        if not left:  # nxt is E
+            chains.append((nxt, strip, link if top else link + nxt))
+            continue
+        tails = memo.get(key := (nxt, left, least))
+        if tails is None:
+            tails = memo[key] = _walk(nxt, rest, low, bound, least, memo, top)
+        chains += [(e, steps + strip, rows + link if top else link + rows)
+                   for e, steps, rows in tails]
+    return tuple(chains)
+
+
+@lru_cache(maxsize=1)
+def _top_memo(d_rows: tuple, P: tuple) -> dict:
+    """The top-chain memo that every F of one (D, P) group shares; the last group asked keeps it."""
+    return {}
 
 
 @cache
 def _bottom_chains(e_rows: tuple, d_rows: tuple, ell: int):
-    """(b, lowers) for every step vector b of a chain from E up to D in ell strips.
+    """(b, lowers) for every step vector b of a chain from D down to E in ell strips.
 
     ``b`` holds the boxes each strip adds; each entry of ``lowers`` holds the
     rows of one chain with that b as a cone point stores them, levels -ell
@@ -247,38 +254,46 @@ def _bottom_chains(e_rows: tuple, d_rows: tuple, ell: int):
     """
     cap = sum(d_rows) - sum(e_rows)
     groups: dict = {}
-    for room, rows in _tails(e_rows, d_rows, (cap,) * ell, {}, False):
-        groups.setdefault(tuple(cap - r for r in room), []).append(rows + e_rows)
+    for _, b, lowers in _walk(d_rows, (cap,) * ell, e_rows, e_rows, 0, {}, False):
+        groups.setdefault(b, []).append(lowers)
     return tuple((b, tuple(lowers)) for b, lowers in groups.items())
+
+
+@cache
+def _lower_blocks(e_rows: tuple, d_rows: tuple, ell: int, room: tuple):
+    """(lowers, cs) per step vector b <= ``room`` of the chains from D to E; cs sum to room - b."""
+    return tuple(
+        (lowers, cs)
+        for b, lowers in _bottom_chains(e_rows, d_rows, ell)
+        if all(map(le, b, room)) and (cs := _c_assignments(tuple(map(sub, room, b)), ell))
+    )
 
 
 def _fiber_blocks(k: int, ell: int, F, D, P):
     """(lowers, uppers, cs) for each nonempty block of the fiber over (F, D, P).
 
     A block's points are ``lower + upper + c`` for every lower, upper and c.
-    Only the E that reach both F and D are tried.  The top chains (E to F),
-    the j-th strip capped at p_j boxes, are memoised for this fiber only
-    and grouped by ``room`` = P - a; the bottom chains come grouped by b.
-    Each (room, b) with b <= room is a block; its c sum to room - b.
+    The top chains run down from F, strip j capped at p_j, to each E inside
+    D that D reaches in ell strips; the chains add |F| + |D| - 2|E| <= |P|
+    boxes.  Grouped by (E, a), they pair with the bottom chains of b <= P - a.
     """
     F, D, P = _validated_triple(k, ell, F, D, P)
     f_rows, d_rows = F.padded(k + ell), D.padded(k)
-    memo: dict = {}
-    for e_rows in _middle_candidates(f_rows, d_rows, ell, sum(P)):
-        rooms: dict = {}
-        for room, upper in _tails(e_rows + (0,) * ell, f_rows, P, memo, True):
-            rooms.setdefault(room, []).append(upper)
-        for room, uppers in rooms.items():
-            for b, lowers in _bottom_chains(e_rows, d_rows, ell):
-                if all(map(le, b, room)) and (cs := _c_assignments(tuple(map(sub, room, b)), ell)):
-                    yield lowers, uppers, cs
+    least = max(0, (sum(f_rows) + sum(d_rows) - sum(P) + 1) // 2)
+    low = d_rows[ell:] + (0,) * (k + ell)
+    groups: dict = {}
+    for e_rows, a, upper in _walk(f_rows, P, low, d_rows, least, _top_memo(d_rows, P), True):
+        groups.setdefault((e_rows, a), []).append(upper)
+    for (e_rows, a), uppers in groups.items():
+        for lowers, cs in _lower_blocks(e_rows, d_rows, ell, tuple(map(sub, P, a))):
+            yield lowers, uppers, cs
 
 
 def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> list[ConePoint]:
     """All points with boundary rows (F, D) and content vector P, sorted by value vector.
 
     Boundary rows are pinned, interior rows run over interlacing chains
-    from the middle row E outward, and the pair-node values are whatever
+    from F and D in to the middle row E, and the pair-node values are whatever
     solves the per-index content constraints.  ``_fiber_blocks`` pairs the
     chains by step vector, so ``b <= P - a`` is tested once per pair of
     distinct vectors, not once per pair of chains.  The walker lays each
@@ -298,21 +313,6 @@ def enumerate_fiber(poset: GammaPoset, F: YoungDiagram, D: YoungDiagram, P) -> l
     values.sort()
     point = ConePoint._trusted
     return [point(poset, v) for v in values]
-
-
-def _middle_candidates(f_rows: tuple, d_rows: tuple, ell: int, total: int):
-    """Rows of every diagram E at level 0 that reaches both F and D in ell strips.
-
-    ``f_rows`` and ``d_rows`` are F and D padded to k + ell and k rows.  Row
-    i of E lies in ``max(F_{i+ell}, D_{i+ell}) .. min(F_i, D_i)``.  The two
-    chains add |F| - |E| + |D| - |E| boxes, at most ``total`` = |P|.
-    """
-    lows = map(max, f_rows[ell:], d_rows[ell:] + (0,) * ell)
-    highs = map(min, f_rows, d_rows)
-    least = (sum(f_rows) + sum(d_rows) - total + 1) // 2
-    for e_rows in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
-        if sum(e_rows) >= least and all(map(ge, e_rows, e_rows[1:])):
-            yield e_rows
 
 
 def _validated_triple(k: int, ell: int, F, D, P):

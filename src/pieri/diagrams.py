@@ -163,10 +163,8 @@ def as_composition(parts, length: int | None = None) -> tuple[int, ...]:
 def _skew_cells(outer: tuple, inner: tuple) -> tuple[tuple[int, int], ...]:
     """Every (row, col) box of ``outer / inner`` (canonical rows), column-major."""
     inner = inner + (0,) * (len(outer) - len(inner))
-    width = outer[0] if outer else 0
-    return tuple(
-        (r, c) for c in range(width) for r in range(len(outer)) if inner[r] <= c < outer[r]
-    )
+    by_column = sorted((c, r) for r, (lo, hi) in enumerate(zip(inner, outer)) for c in range(lo, hi))
+    return tuple((r, c) for c, r in by_column)
 
 
 @cache

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -377,8 +378,10 @@ def choices(good, bad):
 # Huge --k, --ell or --n on poset, lattice, eta, verify and cone --list still
 # runs unbounded (no work budget refuses it yet), so there they draw no
 # 10**22.  verify keeps k, ell <= 2: its suites take seconds to minutes at
-# ell = 3.  A part of 10**22 goes into one list per command line: two of them
-# (--D and --F of mult, or two parts of P) still enumerate up to 10**22.
+# ell = 3.  A first part of 10**22 goes into one list of mult, cone or
+# decompose, or into both --D and --F of mult or cone: no walk there runs over
+# a part's size.  Two parts of P (decompose --P 10**22,10**22) still
+# enumerate up to 10**22.
 PARTS = comma_lists(["0", "1", "2", "3"], ["-1", "", "1.5", "a"])
 GROUP = choices(["o", "sp", "gl"], ["x", ""])
 FORMAT = choices(["dot", "json"], ["svg"])
@@ -412,8 +415,9 @@ def cli_argv(draw):
     """A command line from the grammar, then up to three edits.
 
     Each edit gives a flag a bad value, drops it, repeats it with a good
-    value (the last one counts) or adds junk; one list of mult or decompose
-    may also get a first part of 10**22.
+    value (the last one counts) or adds junk; one list of mult, cone or
+    decompose, or both --D and --F of mult or cone, may also get a first
+    part of 10**22.
     """
     command = draw(st.sampled_from(sorted(GRAMMAR)))
     flags = GRAMMAR[command]
@@ -432,9 +436,12 @@ def cli_argv(draw):
         elif edit == "j":
             extra.append(draw(JUNK))
     huge = [flag for flag in ("--D", "--P", "--F") if flag in line]
-    if command in ("mult", "decompose") and huge and draw(st.booleans()):
-        flag = draw(st.sampled_from(huge))
-        line[flag] = ",".join(filter(None, [HUGE, line[flag]]))
+    if command in ("mult", "cone", "decompose") and huge and draw(st.booleans()):
+        flags = [draw(st.sampled_from(huge))]
+        if command != "decompose" and {"--D", "--F"} <= set(huge) and draw(st.booleans()):
+            flags = ["--D", "--F"]
+        for flag in flags:
+            line[flag] = ",".join(filter(None, [HUGE, line[flag]]))
     pairs = [[flag] if value is None else [flag, value] for flag, value in line.items()] + extra
     return [command] + [word for pair in draw(st.permutations(pairs)) for word in pair]
 
@@ -540,6 +547,16 @@ def run_fresh(*argv, **kwargs):
      "PASS hw: checked 46 instances\n"),
     # a skew shape of 10**22 boxes and a content of none: no box may be listed
     (["mult", "--group", "gl", "--n", "1", "--ell", "1", "--F", "1" + "0" * 22], "0\n"),
+    # first parts of 10**22 in both D and F: no cell, chain or range may run
+    # over a part's size (each answer is the one at part 100)
+    (["mult", "--k", "3", "--ell", "3", "--D", "1" + "0" * 22 + ",1", "--P", "3,3,3",
+      "--F", "1" + "0" * 21 + "1,2,1", "--verify"], "582\nverified: independent count agrees\n"),
+    (["cone", "--k", "2", "--ell", "3", "--D", "1" + "0" * 22 + ",2", "--P", "2,1,1",
+      "--F", "1" + "0" * 21 + "2,2,1,1"], "3\n"),
+    (["cone", "--k", "2", "--ell", "3", "--D", "1" + "0" * 22 + ",2", "--P", "2,1,1",
+      "--F", "1" + "0" * 21 + "2,2,1,1", "--list"],
+     lambda: at_part_100("cone", "--k", "2", "--ell", "3", "--D", "100,2", "--P", "2,1,1",
+                         "--F", "102,2,1,1", "--list")),
 ])
 def test_large_inputs_run_in_little_memory(argv, want):
     resource = pytest.importorskip("resource")
@@ -549,7 +566,14 @@ def test_large_inputs_run_in_little_memory(argv, want):
         resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
 
     code, out, err = run_fresh(*argv, preexec_fn=cap, timeout=30)
-    assert (code, out, err) == (0, want, "")
+    assert (code, out, err) == (0, want() if callable(want) else want, "")
+
+
+def at_part_100(*argv):
+    """What ``pieri`` prints for ``argv``, each value 100 + d printed as 10**22 + d."""
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    return re.sub(r"\b10(\d)\b", lambda m: str(10**22 + int(m[1])), out)
 
 
 def test_imports_only_the_standard_library():

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from pieri.cone import (
     ConePoint,
     MultiDegree,
     _c_assignments,
-    _tails,
+    _walk,
     enumerate_fiber,
     is_member,
     s_of_abc,
@@ -321,81 +322,107 @@ def test_fiber_row_bound_errors():
 WIDTH = 3  # rows of every diagram the chain tests draw, zero padded
 
 
-def rows_inside(end):
-    """Every diagram inside ``end``, as zero-padded row tuples of its width."""
-    return [rows for rows in itertools.product(*(range(e + 1) for e in end))
+def rows_inside(outer):
+    """Every diagram inside ``outer``, as zero-padded row tuples of its width."""
+    return [rows for rows in itertools.product(*(range(e + 1) for e in outer))
             if all(a >= b for a, b in zip(rows, rows[1:]))]
 
 
-def brute_chains(start, end, steps):
-    """Every chain start = c_0, ..., c_steps = end whose links lie inside end and interlace."""
+def brute_chains(start, steps):
+    """Every chain start = c_steps, ..., c_0 in which each link interlaces the one before it."""
     if steps == 0:
-        return [(start,)] if start == end else []
+        return [(start,)]
     return [(start,) + tail
-            for link in rows_inside(end) if interlaces(link, start)
-            for tail in brute_chains(link, end, steps - 1)]
+            for link in rows_inside(start) if interlaces(start, link)
+            for tail in brute_chains(link, steps - 1)]
+
+
+def strip_sizes(chain):
+    """(|c_1| - |c_0|, ..., |c_steps| - |c_steps-1|) of a chain listed from its start down."""
+    return tuple(sum(a) - sum(b) for a, b in zip(chain[-2::-1], chain[::-1]))
 
 
 padded_rows = st.lists(st.integers(0, 3), max_size=WIDTH).map(
     lambda parts: tuple(sorted(parts, reverse=True)) + (0,) * (WIDTH - len(parts)))
 
 
-def laid_out(chain, caps, top):
-    """(room, rows) of a brute-force chain in the walker's layout.
+def walk_bounds(data, caps, top):
+    """(low, bound, least) of one walk: E's rows between low and bound, |E| >= least.
 
-    ``room`` is what each cap has left after its strip.  ``rows`` flattens
-    the links after the start: as a top chain, from the first link up to the
-    end, the link at level j keeping its first k + j entries, where k is the
-    width less the number of strips; as a bottom chain, every link whole,
-    from the end back down to the first link.
+    A top walk ends in an E of ``WIDTH - len(caps)`` rows, a bottom one in
+    an E as wide as its start; low lies below bound, as it does in a fiber.
     """
-    links = chain[1:]
-    room = tuple(cap - (sum(b) - sum(a)) for a, b, cap in zip(chain, links, caps))
+    bound = data.draw(padded_rows)[:WIDTH - len(caps) if top else WIDTH]
+    low = tuple(map(min, data.draw(padded_rows), bound + (0,) * WIDTH))
+    return low, bound, data.draw(st.integers(0, 6))
+
+
+def brute_walk(start, caps, low, bound, least):
+    """The brute-force chains down from ``start`` that the walker must give."""
+    return [chain for chain in brute_chains(start, len(caps))
+            if all(size <= cap for size, cap in zip(strip_sizes(chain), caps))
+            and all(map(le, low, chain[-1])) and all(map(le, chain[-1], bound + (0,) * WIDTH))
+            and sum(chain[-1]) >= least]
+
+
+def laid_out(chain, width, top):
+    """(E, steps, rows) of a brute-force chain in the walker's layout.
+
+    E keeps its first ``width`` entries.  ``rows`` flattens the links: as a
+    top chain, E left out, from the link above E up to the start, the link j
+    strips above E keeping its first width + j entries; as a bottom chain,
+    every link whole, from the start down to E.
+    """
     if top:
-        k = len(chain[-1]) - len(links)
-        return room, tuple(itertools.chain.from_iterable(
-            link[:k + level] for level, link in enumerate(links, 1)))
-    return room, tuple(itertools.chain.from_iterable(reversed(links)))
+        rows = [link[:width + j] for j, link in enumerate(reversed(chain[:-1]), 1)]
+    else:
+        rows = chain
+    return chain[-1][:width], strip_sizes(chain), tuple(itertools.chain.from_iterable(rows))
 
 
-@given(start=padded_rows, end=padded_rows, data=st.data())
+@given(start=padded_rows, data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_chains_match_brute_force(start, end, data):
+def test_chains_match_brute_force(start, data):
     # in either layout the walker gives exactly the brute-force chains whose
-    # j-th strip adds at most caps[j] boxes, each once, with the room each
-    # strip leaves of its cap and the rows laid out as a cone point stores
-    # them; a bottom chain keeps its links whole, so its rows tell it apart
-    caps = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
-    want = [chain for chain in brute_chains(start, end, len(caps))
-            if all(sum(b) - sum(a) <= cap for a, b, cap in zip(chain, chain[1:], caps))]
-    assert len({laid_out(chain, caps, False) for chain in want}) == len(want)
+    # strip j removes at most caps[j - 1] boxes and whose E lies between low
+    # and bound with |E| >= least, each once, with its strip sizes and its
+    # rows laid out as a cone point stores them; a bottom chain keeps its
+    # links whole, so its rows tell it apart
+    caps = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
     for top in (True, False):
-        got = _tails(start, end, caps, {}, top)
-        assert Counter(got) == Counter(laid_out(chain, caps, top) for chain in want)
+        low, bound, least = walk_bounds(data, caps, top)
+        want = brute_walk(start, caps, low, bound, least)
+        assert len({laid_out(chain, WIDTH, False) for chain in want}) == len(want)
+        got = _walk(start, caps, low, bound, least, {}, top)
+        assert Counter(got) == Counter(laid_out(chain, len(bound), top) for chain in want)
 
 
-@given(end=padded_rows, data=st.data())
+@given(start=padded_rows, data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_next_links_have_no_dead_ends(end, data):
-    # in either layout, every link the walker steps into has room in the caps
-    # left for the boxes it lacks of end; when each cap after the first is at
-    # least end[0] (as when they do not bind), every such link starts a chain
-    # to end: each memoised tail is nonempty, and the links are those on some
-    # chain
-    link = data.draw(st.sampled_from(rows_inside(end)))
+def test_next_links_have_no_dead_ends(start, data):
+    # in either layout, every link the walker memoises holds at least least
+    # boxes inside bound, and the caps left hold the boxes outside it; when
+    # each cap after the first is at least start[0] (as when they do not
+    # bind), every such link starts a chain to an E: each memoised tail is
+    # nonempty, and the links are those on some chain
     caps = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
-    want = [chain for chain in brute_chains(link, end, len(caps))
-            if all(sum(b) - sum(a) <= cap for a, b, cap in zip(chain, chain[1:], caps))]
-    for top in (True, False):
+    # a top walk ends in an E of WIDTH - len(caps) rows, so it takes at most WIDTH strips
+    for top in (True, False) if len(caps) <= WIDTH else (False,):
+        low, bound, least = walk_bounds(data, caps, top)
+        want = brute_walk(start, caps, low, bound, least)
         memo = {}
-        got = _tails(link, end, caps, memo, top)
+        got = _walk(start, caps, low, bound, least, memo, top)
         assert bool(got) == bool(want)
-        for walked, left in set(memo) - {(link, len(caps))}:
-            assert sum(end) - sum(walked) <= sum(caps[len(caps) - left:]), (walked, left)
-        if not want or min(caps[1:], default=end[0]) < end[0]:
+        for link, left, key_least in memo:
+            inside = sum(map(min, link, bound))
+            assert key_least == least and inside >= least, (link, left)
+            assert sum(link) - inside <= sum(caps[:left]), (link, left)
+        if min(caps[:-1], default=start[0]) < start[0]:
             continue
         assert all(memo.values()), [key for key, tails in memo.items() if not tails]
-        assert set(memo) == {(chain[i], len(caps) - i) for chain in want for i in range(len(caps))}
+        width = len(bound) if top else WIDTH
+        assert set(memo) == {(link[:width + left], left, least)
+                             for chain in want for left, link in enumerate(reversed(chain[1:-1]), 1)}
 
 
 # one large (k, ell, D, P) group, and every F whose fiber over it may have points
@@ -418,7 +445,7 @@ def test_module_caches_do_not_grow_with_f():
     poset = GammaPoset(k, ell)
     candidates = large_candidates()
     caches = {name: obj for name, obj in vars(cone).items() if hasattr(obj, "cache_info")}
-    assert set(caches) == {"_bottom_chains", "_c_assignments"}
+    assert set(caches) == {"_bottom_chains", "_c_assignments", "_lower_blocks", "_top_memo"}
     for fn in caches.values():
         fn.cache_clear()
     points = sum(len(enumerate_fiber(poset, F, D, P)) for F in candidates)
@@ -426,9 +453,61 @@ def test_module_caches_do_not_grow_with_f():
     # bottom chains: one entry per E inside D
     inside_d = sum(1 for size in range(sum(D) + 1) for _ in _diagrams_under(size, D))
     assert caches["_bottom_chains"].cache_info().currsize <= inside_d
+    # bottom blocks: one entry per E inside D and room <= P entrywise
+    rooms = math.prod(p + 1 for p in P)
+    assert caches["_lower_blocks"].cache_info().currsize <= inside_d * rooms
     # pair assignments: one entry per (q, j) with q <= P[:j] entrywise
     prefixes = sum(math.prod(p + 1 for p in P[:j]) for j in range(1, ell + 1))
     assert caches["_c_assignments"].cache_info().currsize <= prefixes
+    # top chains: one memo, of this group, that holds no node at F's level
+    assert caches["_top_memo"].cache_info().currsize == 1
+    memo = cone._top_memo(D, P)
+    assert memo and all(level < ell for _, level, _ in memo)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_group_memo_serves_interleaved_groups(data):
+    # F queries of two (D, P) groups in any order: the top-chain memo follows
+    # the group asked, so each fiber (and its count) equals a fresh call
+    # made with every cache of the module cleared
+    k, ell = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]))
+    poset = GammaPoset(k, ell)
+    groups = [(tuple(sorted(data.draw(st.lists(st.integers(0, 3), max_size=k)), reverse=True)),
+               tuple(data.draw(st.lists(st.integers(0, 3), min_size=ell, max_size=ell))))
+              for _ in range(2)]
+
+    def query(group):
+        D, P = groups[group]
+        total = sum(D) + sum(P)
+        size = data.draw(st.sampled_from(range(total % 2, total + 1, 2)))
+        return group, data.draw(st.sampled_from(partitions_of(size, k + ell)))
+
+    def clear():
+        for obj in vars(cone).values():
+            if hasattr(obj, "cache_info"):
+                obj.cache_clear()
+
+    queries = [query(group) for group in data.draw(st.lists(st.integers(0, 1), max_size=8))]
+    clear()
+    warm = [(enumerate_fiber(poset, F, *groups[g]), multiplicity_via_cone(k, ell, F, *groups[g]))
+            for g, F in queries]
+    assert cone._top_memo.cache_info().currsize <= 1
+    for (g, F), (points, count) in zip(queries, warm):
+        clear()
+        assert enumerate_fiber(poset, F, *groups[g]) == points, (groups[g], F)
+        assert count == len(points)
+
+
+def test_large_group_fibers_do_not_depend_on_the_order_asked():
+    # the largest F first: a memo entry walked for a larger |E| bound must not
+    # serve an F that allows a smaller E
+    k, ell, D, P = LARGE
+    poset = GammaPoset(k, ell)
+    candidates = large_candidates()
+    backward = {F: enumerate_fiber(poset, F, D, P) for F in reversed(candidates)}
+    cone._top_memo.cache_clear()
+    assert [backward[F] for F in candidates] == [enumerate_fiber(poset, F, D, P) for F in candidates]
 
 
 def test_large_group_point_lists_are_pinned():
